@@ -75,6 +75,8 @@ def _config_from(args) -> Config:
     if cap < 1:
         raise ValueError("enumeration cap must be at least 1")
     threads = args.threads if args.threads is not None else (os.cpu_count() or 1)
+    if threads < 1:
+        raise ValueError("threads must be at least 1")
     return Config(
         enumeration_cap=cap,
         threads=threads,
@@ -86,15 +88,26 @@ def _config_from(args) -> Config:
 def _parse_weight_source(spec: str | None, seed: int) -> WeightSource:
     if spec is None or spec == "grid":
         return WeightSource.grid()
-    if spec.startswith("grid:"):
-        values = [Fraction(tok) for tok in spec[len("grid:"):].split(",") if tok]
+    kind, sep, body = spec.partition(":")
+    if not sep or kind not in ("grid", "random"):
+        return WeightSource.explicit(spec)
+    # a token that does not parse is a parse error; a parsed value out of
+    # range is left to WeightSource, a failed precondition
+    try:
+        if kind == "grid":
+            values = [Fraction(tok) for tok in body.split(",") if tok]
+            if not values:
+                raise ValueError("no grid values")
+        else:
+            numbers = [int(tok) for tok in body.split(":")]
+            if len(numbers) > 2:
+                raise ValueError("more than two fields")
+    except (ValueError, ZeroDivisionError) as exc:
+        raise WeightParseError(f"malformed weight source {spec!r}") from exc
+    if kind == "grid":
         return WeightSource.grid(values)
-    if spec.startswith("random:"):
-        parts = spec.split(":")[1:]
-        count = int(parts[0])
-        denominator = int(parts[1]) if len(parts) > 1 else 64
-        return WeightSource.random(count, denominator=denominator, seed=seed)
-    return WeightSource.explicit(spec)
+    denominator = numbers[1] if len(numbers) > 1 else 64
+    return WeightSource.random(numbers[0], denominator=denominator, seed=seed)
 
 
 def _parse_tagged_vertex(token: str, n: int) -> int:

@@ -128,15 +128,6 @@ class Graph:
 
 
 @dataclass(frozen=True)
-class EdgeKind:
-    """Provenance of one bunkbed edge: kind is 'minus', 'plus' or 'post';
-    ref is the base edge index (copies) or the base vertex index (posts)."""
-
-    kind: str
-    ref: int
-
-
-@dataclass(frozen=True)
 class BunkbedGraph:
     """Two tagged copies of a base graph joined by one post edge per vertex.
 
@@ -148,7 +139,6 @@ class BunkbedGraph:
 
     base: Graph
     total: Graph
-    edge_kind: tuple[EdgeKind, ...]
     vertex_map: tuple[tuple[int, int], ...]
 
     def minus_vertex(self, x: int) -> int:
@@ -181,15 +171,11 @@ def bunkbed(base: Graph) -> BunkbedGraph:
     """
     n = base.vertex_count
     edges: list[tuple[int, int]] = []
-    kinds: list[EdgeKind] = []
-    for i, (u, v) in enumerate(base.edges):
+    for u, v in base.edges:
         edges.append((u, v))
-        kinds.append(EdgeKind("minus", i))
         edges.append((u + n, v + n))
-        kinds.append(EdgeKind("plus", i))
     for x in range(n):
         edges.append((x, x + n))
-        kinds.append(EdgeKind("post", x))
     labels = None
     if base.labels is not None:
         lower = tuple(None if s is None else s + "-" for s in base.labels)
@@ -197,7 +183,7 @@ def bunkbed(base: Graph) -> BunkbedGraph:
         labels = lower + upper
     total = Graph(2 * n, tuple(edges), labels)
     vmap = tuple((x, x + n) for x in range(n))
-    return BunkbedGraph(base=base, total=total, edge_kind=tuple(kinds), vertex_map=vmap)
+    return BunkbedGraph(base=base, total=total, vertex_map=vmap)
 
 
 def glue(a_graph: Graph, a: int, b_graph: Graph, b: int) -> tuple[Graph, int]:

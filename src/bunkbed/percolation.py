@@ -7,10 +7,11 @@ All weights are rationals and all arithmetic is exact: event probabilities
 are sums of atom probabilities, computed as integer numerator sums over the
 product of the per-edge denominators.
 
-Enumeration walks bitmasks in increasing order over the global edge index
-and rebuilds a union-find per subset.  Edges outside a spec's restriction
-mask never enter the enumeration; their factors sum to 1 and are
-marginalized analytically.
+One kernel, _partition_numerators, does every enumeration: it walks the
+edges once, keeping one integer numerator per weight for each partition of
+the vertices into open components, so atoms that leave the same partition
+share all later work.  Edges outside a spec's restriction mask never enter
+the enumeration; their factors sum to 1 and are marginalized analytically.
 """
 
 from __future__ import annotations
@@ -18,9 +19,8 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, mul
 from typing import Sequence
-
-import numpy as np
 
 from .graphs import BunkbedGraph, Graph
 
@@ -186,96 +186,128 @@ def atom_probability(w: Weight, edge_subset) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def _integer_factors(values: Sequence[Fraction]) -> tuple[list[int], list[int], int]:
-    """Per-edge (open, closed) numerators and the common denominator."""
-    opens: list[int] = []
-    closeds: list[int] = []
-    denom = 1
-    for v in values:
-        opens.append(v.numerator)
-        closeds.append(v.denominator - v.numerator)
-        denom *= v.denominator
-    return opens, closeds, denom
-
-
-def _half_tables(opens: Sequence[int], closeds: Sequence[int]) -> tuple[list[int], list[int], int]:
-    """Products of factors over all sub-masks of the low and high edge halves.
-
-    Bit j of a sub-mask is edge j of the half, so the full atom numerator is
-    lo[mask & (2^half - 1)] * hi[mask >> half].
-    """
-    m = len(opens)
-    half = m // 2
-    lo = [1]
-    for e in range(half):
-        lo = [x * closeds[e] for x in lo] + [x * opens[e] for x in lo]
-    hi = [1]
-    for e in range(half, m):
-        hi = [x * closeds[e] for x in hi] + [x * opens[e] for x in hi]
-    return lo, hi, half
-
-
-def _event_range(
+def _partition_numerators(
     n: int,
     edges: Sequence[tuple[int, int]],
-    positive: Sequence[tuple[int, int]],
-    negative: Sequence[tuple[int, int]],
-    opens: Sequence[int],
-    closeds: Sequence[int],
-    start: int,
-    stop: int,
-) -> int:
-    """Integer numerator of the event over atoms [start, stop)."""
-    lo_table, hi_table, half = _half_tables(opens, closeds)
-    lo_mask = (1 << half) - 1
-    init = list(range(n))
-    parent = init[:]
-    total = 0
-    pos = list(positive)
-    neg = list(negative)
-    for mask in range(start, stop):
-        parent[:] = init
-        mm = mask
-        for u, v in edges:
-            if mm & 1:
-                ru = u
-                while parent[ru] != ru:
-                    ru = parent[ru]
-                rv = v
-                while parent[rv] != rv:
-                    rv = parent[rv]
-                if ru != rv:
-                    parent[rv] = ru
-            mm >>= 1
-        ok = True
-        for x, y in pos:
-            rx = x
-            while parent[rx] != rx:
-                rx = parent[rx]
-            ry = y
-            while parent[ry] != ry:
-                ry = parent[ry]
-            if rx != ry:
-                ok = False
-                break
-        if ok:
-            for x, y in neg:
-                rx = x
-                while parent[rx] != rx:
-                    rx = parent[rx]
-                ry = y
-                while parent[ry] != ry:
-                    ry = parent[ry]
-                if rx == ry:
-                    ok = False
-                    break
-        if ok:
-            total += lo_table[mask & lo_mask] * hi_table[mask >> half]
-    return total
+    factors: Sequence[tuple[tuple[int, ...], tuple[int, ...]]],
+    count: int,
+    start: int = 0,
+    stop: int | None = None,
+) -> tuple[list[tuple[int, ...]], list[list[int]]]:
+    """The exact integer numerator of every partition into open components.
+
+    The one enumeration loop of the package.  An atom opens or closes each
+    of the m `edges`; read as a binary number whose highest bit is
+    edges[0], the atoms are 0 .. 2^m - 1, and only atoms with
+    start <= atom < stop are summed (all of them by default), so disjoint
+    slices add up exactly to the whole.  factors[i] holds the open and the
+    closed numerator of edge i under each of `count` weights.  Returns the
+    partitions, each as the smallest vertex of every vertex's component,
+    and one column of numerators per weight.
+
+    The edges are walked in order, keeping one entry per partition: all
+    atoms whose edges so far leave the same components share it and its
+    numerator per weight.  An edge inside one component multiplies the
+    entry by the edge's whole denominator; an edge between two components
+    splits it into a closed and a merged entry.  A branch whose factor is 0
+    under every weight is dropped.  A slice is the atoms below stop minus
+    those below start: the one prefix still equal to a bound's is carried
+    apart, and each time the bound has a 1 bit, the atoms that close that
+    edge fall below the bound and join the table, negated for start.
+    """
+    m = len(edges)
+    if stop is None:
+        stop = 1 << m
+    # character i of a key names the smallest vertex of vertex i's component,
+    # so merging two components is one str.replace
+    first = "".join(map(chr, range(n)))
+    table: dict[str, tuple[int, ...]] = {}
+    held = []  # [bound, key, numerators] of the prefix equal to the bound's
+    if start < stop:
+        if stop >> m:
+            table[first] = (1,) * count
+        else:
+            held.append([stop, first, (1,) * count])
+        if start:
+            held.append([start, first, (-1,) * count])
+    for i, (u, v) in enumerate(edges):
+        opens, closeds = factors[i]
+        wholes = tuple(map(add, opens, closeds))
+        can_open, can_close = any(opens), any(closeds)
+        nxt: dict[str, tuple[int, ...]] = {}
+        get = nxt.get
+        while table:  # popped, so that one level at a time is held
+            lab, nums = table.popitem()
+            a, b = lab[u], lab[v]
+            if a == b:
+                vals = tuple(map(mul, nums, wholes))
+                old = get(lab)
+                nxt[lab] = vals if old is None else tuple(map(add, old, vals))
+                continue
+            if can_close:
+                vals = tuple(map(mul, nums, closeds))
+                old = get(lab)
+                nxt[lab] = vals if old is None else tuple(map(add, old, vals))
+            if can_open:
+                key = lab.replace(b, a) if a < b else lab.replace(a, b)
+                vals = tuple(map(mul, nums, opens))
+                old = get(key)
+                nxt[key] = vals if old is None else tuple(map(add, old, vals))
+        for path in held:
+            bound, lab, nums = path
+            closed = tuple(map(mul, nums, closeds))
+            if bound >> (m - 1 - i) & 1:
+                old = get(lab)
+                nxt[lab] = closed if old is None else tuple(map(add, old, closed))
+                a, b = sorted((lab[u], lab[v]))
+                path[1:] = lab.replace(b, a), tuple(map(mul, nums, opens))
+            else:
+                path[2] = closed
+        table = nxt
+    labels: list[tuple[int, ...]] = []
+    columns: list[list[int]] = [[] for _ in range(count)]
+    while table:
+        lab, nums = table.popitem()
+        if any(nums):  # a partition met only by atoms of the other slices
+            labels.append(tuple(map(ord, lab)))
+            for column, num in zip(columns, nums):
+                column.append(num)
+    return labels, columns
 
 
-def _event_range_worker(args) -> int:
-    return _event_range(*args)
+def _enumerated_edges(graph: Graph, restriction, cap: int) -> list[int]:
+    """The edge indices an enumeration walks, within the cap."""
+    edges = list(range(graph.edge_count)) if restriction is None else sorted(restriction)
+    if len(edges) > cap:
+        raise EnumerationCapError(len(edges), cap)
+    return edges
+
+
+def _distributions(
+    graph: Graph,
+    weights: Sequence[Weight],
+    edges: list[int],
+    restriction: tuple[int, ...] | None,
+    start: int = 0,
+    stop: int | None = None,
+) -> list[ConnectivityDistribution]:
+    """Run the kernel over `edges` for every weight at once."""
+    factors = []
+    denominators = [1] * len(weights)
+    for e in edges:
+        values = [w.values[e] for w in weights]
+        factors.append((
+            tuple(p.numerator for p in values),
+            tuple(p.denominator - p.numerator for p in values),
+        ))
+        denominators = [d * p.denominator for d, p in zip(denominators, values)]
+    labels, columns = _partition_numerators(
+        graph.vertex_count, [graph.edges[e] for e in edges], factors, len(weights), start, stop
+    )
+    return [
+        ConnectivityDistribution(graph, restriction, labels, nums, d)
+        for nums, d in zip(columns, denominators)
+    ]
 
 
 def event_probability(
@@ -285,37 +317,21 @@ def event_probability(
     cap: int = DEFAULT_ENUMERATION_CAP,
     threads: int = 1,
 ) -> ProbabilityReport:
-    """Exact probability of the event by exhaustive subset enumeration.
+    """Exact probability of the event by exhaustive enumeration.
 
-    Sums atom probabilities over every edge subset satisfying all positive
-    and negative constraints.  With a restriction only masked edges are
+    Sums the measure of every edge subset satisfying all positive and
+    negative constraints.  With a restriction only masked edges are
     enumerated (2^|mask| atoms); unmasked edges marginalize to 1.
     """
     t0 = time.perf_counter()
     spec.validate(w.graph)
-    g = w.graph
-    if spec.restriction is None:
-        enum_edges = list(range(g.edge_count))
-    else:
-        enum_edges = sorted(spec.restriction)
-    m = len(enum_edges)
-    if m > cap:
-        raise EnumerationCapError(m, cap)
-    endpoints = [g.edges[e] for e in enum_edges]
-    opens, closeds, denom = _integer_factors([w.values[e] for e in enum_edges])
-    atoms = 1 << m
-
-    numerator = None
+    edges = _enumerated_edges(w.graph, spec.restriction, cap)
+    atoms = 1 << len(edges)
+    value = None
     if threads > 1 and atoms >= PARALLEL_MIN_ATOMS:
-        numerator = _parallel_event(
-            g.vertex_count, endpoints, spec, opens, closeds, atoms, threads
-        )
-    if numerator is None:
-        numerator = _event_range(
-            g.vertex_count, endpoints, spec.positive, spec.negative,
-            opens, closeds, 0, atoms,
-        )
-    value = Fraction(numerator, denom)
+        value = _parallel_event(w, edges, spec, atoms, threads)
+    if value is None:
+        value = _slice_probability((w, edges, spec, 0, atoms))
     return ProbabilityReport(
         value=value,
         method="brute_force",
@@ -324,24 +340,25 @@ def event_probability(
     )
 
 
-def _parallel_event(n, endpoints, spec, opens, closeds, atoms, threads) -> int | None:
-    """Partition the bitmask range into chunks and sum exact partial results.
+def _slice_probability(task) -> Fraction:
+    """The event's measure over one slice of the atoms."""
+    w, edges, spec, start, stop = task
+    return _distributions(w.graph, [w], edges, None, start, stop)[0].probability(spec)
+
+
+def _parallel_event(w, edges, spec, atoms, threads) -> Fraction | None:
+    """Split the atoms into one slice per worker and add the exact parts.
 
     Returns None if a worker pool cannot be created; the caller then falls
     back to the sequential path.
     """
     from concurrent.futures import ProcessPoolExecutor
 
-    chunks = threads * 4
-    step = (atoms + chunks - 1) // chunks
-    tasks = [
-        (n, endpoints, spec.positive, spec.negative, opens, closeds,
-         lo, min(lo + step, atoms))
-        for lo in range(0, atoms, step)
-    ]
+    step = -(-atoms // threads)
+    tasks = [(w, edges, spec, lo, min(lo + step, atoms)) for lo in range(0, atoms, step)]
     try:
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            return sum(pool.map(_event_range_worker, tasks))
+            return sum(pool.map(_slice_probability, tasks), ZERO)
     except OSError:
         return None
 
@@ -366,16 +383,8 @@ def connection_probability(
 
 def sum_over_all_atoms(w: Weight, *, cap: int = DEFAULT_ENUMERATION_CAP) -> Fraction:
     """Sum of all atom probabilities; must be exactly 1 (normalization self-test)."""
-    m = w.graph.edge_count
-    if m > cap:
-        raise EnumerationCapError(m, cap)
-    opens, closeds, denom = _integer_factors(w.values)
-    lo_table, hi_table, half = _half_tables(opens, closeds)
-    lo_mask = (1 << half) - 1
-    total = 0
-    for mask in range(1 << m):
-        total += lo_table[mask & lo_mask] * hi_table[mask >> half]
-    return Fraction(total, denom)
+    dist = _distributions(w.graph, [w], _enumerated_edges(w.graph, None, cap), None)[0]
+    return Fraction(sum(dist.numerators), dist.denominator)
 
 
 # ---------------------------------------------------------------------------
@@ -388,10 +397,11 @@ class ConnectivityDistribution:
     """The exact measure of one enumeration, grouped by the partition of the
     vertex set into open components.
 
-    labels[i] assigns each vertex a component representative under slot i;
-    numerators[i] is the total atom numerator landing on that slot, over
-    `denominator`.  Any conjunction of connectivity constraints measurable
-    over the enumerated edges can be read off exactly.
+    labels[i] maps each vertex to the smallest vertex of its component, so
+    every partition has one slot; numerators[i] is the total atom numerator
+    landing on that partition, over `denominator`.  Any conjunction of
+    connectivity constraints measurable over the enumerated edges can be
+    read off exactly.
     """
 
     graph: Graph
@@ -430,9 +440,6 @@ class ConnectivityDistribution:
         return Fraction(total, self.denominator)
 
 
-_INT64_SAFE = 1 << 62
-
-
 def connectivity_distributions(
     graph: Graph,
     weights: Sequence[Weight],
@@ -440,127 +447,17 @@ def connectivity_distributions(
     restriction=None,
     cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> list[ConnectivityDistribution]:
-    """One enumeration pass shared by several weights on the same graph.
+    """One enumeration shared by several weights on the same graph.
 
-    The union-find work per atom is identical for every weight, so checking
-    many weights against one graph costs one connectivity sweep plus one
-    multiply-add per weight per atom.  When every weight's total
-    denominator fits comfortably in int64 the per-weight accumulation is
-    vectorized in chunks; otherwise exact big-integer accumulation is used.
+    The partitions the kernel walks are the same for every weight, so
+    checking many weights against one graph costs one walk plus one
+    multiply-add per weight per partition entry.
     """
     for w in weights:
         if w.graph is not graph and w.graph != graph:
             raise ValueError("all weights must live on the given graph")
-    if restriction is None:
-        enum_edges = list(range(graph.edge_count))
-        restr = None
-    else:
-        enum_edges = sorted(restriction)
-        restr = tuple(enum_edges)
-    m = len(enum_edges)
-    if m > cap:
-        raise EnumerationCapError(m, cap)
-    endpoints = [graph.edges[e] for e in enum_edges]
-    n = graph.vertex_count
-
-    tables = []
-    denoms = []
-    for w in weights:
-        opens, closeds, denom = _integer_factors([w.values[e] for e in enum_edges])
-        lo, hi, half = _half_tables(opens, closeds)
-        tables.append((lo, hi))
-        denoms.append(denom)
-    half = m // 2
-    lo_mask = (1 << half) - 1
-    atoms = 1 << m
-
-    # every atom numerator and every slot sum is bounded by the denominator
-    vectorized = all(d < _INT64_SAFE for d in denoms)
-
-    slots: dict[tuple[int, ...], int] = {}
-    labels: list[tuple[int, ...]] = []
-    sums: list[list[int]] | None = None
-    np_tables = None
-    np_sums = None
-    if vectorized:
-        np_tables = [
-            (np.asarray(lo, dtype=np.int64), np.asarray(hi, dtype=np.int64))
-            for lo, hi in tables
-        ]
-        np_sums = [np.zeros(0, dtype=np.int64) for _ in weights]
-    else:
-        sums = [[] for _ in weights]
-    triples = None if vectorized else list(zip(sums, (t[0] for t in tables), (t[1] for t in tables)))
-
-    init = list(range(n))
-    parent = init[:]
-    vrange = range(n)
-    chunk_size = 1 << 16
-    for chunk_start in range(0, atoms, chunk_size):
-        chunk_stop = min(chunk_start + chunk_size, atoms)
-        slot_buf: list[int] = [] if vectorized else None
-        for mask in range(chunk_start, chunk_stop):
-            parent[:] = init
-            mm = mask
-            for u, v in endpoints:
-                if mm & 1:
-                    ru = u
-                    while parent[ru] != ru:
-                        ru = parent[ru]
-                    rv = v
-                    while parent[rv] != rv:
-                        rv = parent[rv]
-                    if ru != rv:
-                        parent[rv] = ru
-                mm >>= 1
-            for i in vrange:
-                r = i
-                while parent[r] != r:
-                    r = parent[r]
-                parent[i] = r
-            key = tuple(parent)
-            idx = slots.get(key)
-            if idx is None:
-                idx = len(labels)
-                slots[key] = idx
-                labels.append(key)
-                if not vectorized:
-                    for s in sums:
-                        s.append(0)
-            if vectorized:
-                slot_buf.append(idx)
-            else:
-                lo = mask & lo_mask
-                hi = mask >> half
-                for s, lt, ht in triples:
-                    s[idx] += lt[lo] * ht[hi]
-        if vectorized:
-            idx_arr = np.asarray(slot_buf, dtype=np.int64)
-            mask_arr = np.arange(chunk_start, chunk_stop, dtype=np.int64)
-            lo_arr = mask_arr & lo_mask
-            hi_arr = mask_arr >> half
-            nslots = len(labels)
-            for wi, (lo_t, hi_t) in enumerate(np_tables):
-                if np_sums[wi].shape[0] < nslots:
-                    np_sums[wi] = np.concatenate(
-                        [np_sums[wi], np.zeros(nslots - np_sums[wi].shape[0], dtype=np.int64)]
-                    )
-                np.add.at(np_sums[wi], idx_arr, lo_t[lo_arr] * hi_t[hi_arr])
-
-    if vectorized:
-        out_sums = [[int(x) for x in np_sums[i]] for i in range(len(weights))]
-    else:
-        out_sums = sums
-    return [
-        ConnectivityDistribution(
-            graph=graph,
-            restriction=restr,
-            labels=labels,
-            numerators=out_sums[i],
-            denominator=denoms[i],
-        )
-        for i in range(len(weights))
-    ]
+    edges = _enumerated_edges(graph, restriction, cap)
+    return _distributions(graph, weights, edges, None if restriction is None else tuple(edges))
 
 
 def connectivity_distribution(

@@ -260,7 +260,7 @@ def _cached_distribution(graph: Graph, values: tuple, restriction, cap: int):
     )
 
 
-# one-off enumerations at least this many edges go to the chunk-parallel
+# one-off enumerations at least this many edges go to the slice-parallel
 # event engine instead of the shared sequential pass, when threads allow
 _PARALLEL_LEAF_EDGES = 20
 

@@ -1,7 +1,7 @@
 """Heavy-lift helpers for the acceptance suites.
 
 The identity criteria compare exhaustive enumeration against the reduction
-transforms over many weights per graph.  The union-find sweep per atom is
+transforms over many weights per graph.  The partition walk of the kernel is
 weight-independent, so each graph gets one shared enumeration per edge set
 (connectivity_distributions) and the per-pair probabilities are then read
 out of the slot tables with vectorized masks.  Weight denominators are

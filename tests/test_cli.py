@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import bunkbed
 from bunkbed.cli import main
 from bunkbed.graphs import Graph, format_graph, parse_graph
 from bunkbed.percolation import parse_weight_file
@@ -215,3 +220,36 @@ class TestSearch:
         lines = [json.loads(l) for l in capsys.readouterr().out.strip().splitlines()]
         assert len(lines) == 1 + 1 + 1 + 2 + 3
         assert all(r["method"] == "skipped" for r in lines)
+
+
+class TestInputEdges:
+    @pytest.mark.parametrize("source", ["grid:abc", "grid:1/0", "grid:", "random:", "random:x", "random:2:4:8"])
+    def test_malformed_weight_source_exit_2(self, p3_files, source):
+        g, _ = p3_files
+        assert main(["check", g, "--weights", source]) == 2
+
+    @pytest.mark.parametrize("source", ["grid:3/2", "random:2:0", "random:-1"])
+    def test_out_of_range_weight_source_exit_4(self, p3_files, source):
+        g, _ = p3_files
+        assert main(["check", g, "--weights", source]) == 4
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one_exit_4(self, p3_files, threads):
+        g, w = p3_files
+        assert main(["prob", g, w, "0", "2", "--threads", threads]) == 4
+        assert main(["check", g, "--weights", "grid:1/2", "--threads", threads]) == 4
+
+    def test_decimal_grid_values_still_parse(self, p3_files, capsys):
+        g, _ = p3_files
+        assert main(["check", g, "--weights", "grid:0.5", "--pair", "0", "2"]) == 0
+        assert json.loads(capsys.readouterr().out)["violations"] == []
+
+
+def test_cli_imports_without_numpy():
+    # the package declares no runtime dependencies; numpy is for the tests only
+    env = dict(os.environ, PYTHONPATH=str(Path(bunkbed.__file__).resolve().parent.parent))
+    done = subprocess.run(
+        [sys.executable, "-c", "import bunkbed.cli, sys; print('numpy' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=60, check=True,
+    )
+    assert done.stdout.strip() == "False"

@@ -62,7 +62,6 @@ class TestBunkbed:
         bb = bunkbed(Graph(1, ()))
         assert bb.total.vertex_count == 2
         assert bb.total.edges == ((0, 1),)
-        assert bb.edge_kind[0].kind == "post"
 
     def test_k2_is_four_cycle(self):
         bb = bunkbed(Graph(2, ((0, 1),)))
@@ -81,19 +80,6 @@ class TestBunkbed:
             bb = bunkbed(g)
             assert bb.total.vertex_count == 2 * g.vertex_count
             assert bb.total.edge_count == 2 * g.edge_count + g.vertex_count
-
-    def test_edge_kind_bijection(self):
-        rng = random.Random(43)
-        for _ in range(20):
-            g = random_graph(rng, rng.randint(1, 6))
-            bb = bunkbed(g)
-            kinds = [(k.kind, k.ref) for k in bb.edge_kind]
-            expected = (
-                [("minus", e) for e in range(g.edge_count)]
-                + [("plus", e) for e in range(g.edge_count)]
-                + [("post", x) for x in range(g.vertex_count)]
-            )
-            assert sorted(kinds) == sorted(expected)
 
     def test_copies_and_posts_land_where_tagged(self):
         g = Graph(3, ((0, 1), (1, 2)))

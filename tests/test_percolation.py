@@ -21,9 +21,9 @@ from bunkbed.percolation import (
     parse_weight_file,
     sum_over_all_atoms,
 )
-from bunkbed.percolation import _event_range, _integer_factors
+from bunkbed.percolation import _distributions
 
-from oracles import naive_event_probability
+from oracles import bfs_reachable, naive_event_probability
 
 F = Fraction
 
@@ -163,23 +163,43 @@ class TestEventProbability:
             event_probability(w, ConnectivitySpec.connected(0, 1), cap=20)
 
     def test_chunked_partial_sums_combine_exactly(self):
-        # the bitmask range can be partitioned arbitrarily; integer partial
-        # sums recombine to the sequential result
+        # the atoms can be sliced arbitrarily: a slice holds exactly its own
+        # atoms (bit m-1-i of an atom opens edge i), and the integer
+        # numerators of the slices add up to those of the whole enumeration
         rng = random.Random(41)
         g = random_graph(rng, 5, 0.7)
         w = random_weight(rng, g)
-        spec = ConnectivitySpec.connected(0, 4)
-        opens, closeds, denom = _integer_factors(list(w.values))
-        endpoints = [g.edges[e] for e in range(g.edge_count)]
-        atoms = 1 << g.edge_count
-        full = _event_range(5, endpoints, spec.positive, spec.negative, opens, closeds, 0, atoms)
+        m = g.edge_count
+        edges = list(range(m))
+
+        def atom_by_atom(lo, hi):
+            out = {}
+            for atom in range(lo, hi):
+                is_open = [atom >> (m - 1 - e) & 1 for e in edges]
+                open_edges = [g.edges[e] for e in edges if is_open[e]]
+                lab = tuple(min(bfs_reachable(5, open_edges, [x])) for x in range(5))
+                num = 1
+                for e in edges:
+                    p = w.values[e]
+                    num *= p.numerator if is_open[e] else p.denominator - p.numerator
+                out[lab] = out.get(lab, 0) + num
+            return {lab: num for lab, num in out.items() if num}
+
+        def nonzero(dist):
+            return {lab: num for lab, num in zip(dist.labels, dist.numerators) if num}
+
+        full = _distributions(g, [w], edges, None)[0]
+        assert nonzero(full) == atom_by_atom(0, 1 << m)
         for chunks in (2, 3, 7):
-            bounds = sorted({0, atoms} | {rng.randrange(atoms) for _ in range(chunks)})
-            total = sum(
-                _event_range(5, endpoints, spec.positive, spec.negative, opens, closeds, lo, hi)
-                for lo, hi in zip(bounds, bounds[1:])
-            )
-            assert total == full
+            bounds = sorted({0, 1 << m} | {rng.randrange(1 << m) for _ in range(chunks)})
+            total: dict = {}
+            for lo, hi in zip(bounds, bounds[1:]):
+                part = _distributions(g, [w], edges, None, lo, hi)[0]
+                assert part.denominator == full.denominator
+                assert nonzero(part) == atom_by_atom(lo, hi)
+                for lab, num in zip(part.labels, part.numerators):
+                    total[lab] = total.get(lab, 0) + num
+            assert {lab: num for lab, num in total.items() if num} == nonzero(full)
 
     def test_threads_agree_with_sequential(self):
         g = Graph(10, tuple((i, i + 1) for i in range(9)) + ((0, 9),))
@@ -195,6 +215,57 @@ class TestEventProbability:
         finally:
             perc.PARALLEL_MIN_ATOMS = old
         assert par.value == seq.value
+
+
+class TestKernelAgainstOracle:
+    def test_kernel_matches_naive_oracle(self):
+        # one batch per graph: weights of 0 and 1, small denominators, and
+        # common denominators just below and at least 2^62
+        rng = random.Random(89)
+        graphs = [Graph(3, ()), Graph(1, ())]
+        while len(graphs) < 40:
+            g = random_graph(rng, rng.randint(1, 6), rng.choice([0.2, 0.5, 0.8]))
+            if g.edge_count <= 8:
+                graphs.append(g)
+        seen = set()
+        for g in graphs:
+            n, m = g.vertex_count, g.edge_count
+            if m == 0:
+                seen.add("no edges")
+            if any(all(x not in e for e in g.edges) for x in range(n)):
+                seen.add("isolated vertex")
+            batch = [
+                Weight(g, tuple(F(rng.randint(0, 1)) for _ in range(m))),
+                random_weight(rng, g),
+            ]
+            if m:
+                below = int(2 ** (62 / m))
+                while below**m >= 1 << 62:
+                    below -= 1
+                while (below + 1) ** m < 1 << 62:
+                    below += 1
+                for d in (below, below + 1):
+                    batch.append(Weight(g, tuple(F(rng.choice([1, d - 1]), d) for _ in range(m))))
+            for _ in range(3):
+                pos = tuple((rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 2)))
+                neg = tuple((rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 2)))
+                mask = None
+                if rng.random() < 0.5:
+                    mask = frozenset(e for e in range(m) if rng.random() < 0.6)
+                    seen.add("restriction")
+                if any(x != y for x, y in neg):
+                    seen.add("negative pair")
+                spec = ConnectivitySpec(positive=pos, negative=neg, restriction=mask)
+                dists = connectivity_distributions(g, batch, restriction=mask)
+                for w, dist in zip(batch, dists):
+                    want = naive_event_probability(w, pos, neg, restriction=mask)
+                    assert dist.probability(spec) == want
+                    assert event_probability(w, spec).value == want
+                    if mask is None and m:
+                        seen.add("below 2^62" if dist.denominator < 1 << 62 else "at least 2^62")
+        assert seen == {
+            "no edges", "isolated vertex", "restriction", "negative pair", "below 2^62", "at least 2^62",
+        }
 
 
 class TestConnectionProbability:
