@@ -415,7 +415,9 @@ def enumerate_trees(n: int, *, bound: int = DEFAULT_TREE_BOUND) -> list[Graph]:
     """All unlabeled trees on n vertices, one representative per
     isomorphism class, generated from all labeled trees and deduplicated by
     canonical form.  Deterministic order."""
-    if n < 1 or n > bound:
+    if n < 1:
+        raise ValueError(f"tree order must be at least 1, got {n}")
+    if n > bound:
         raise BoundExceededError(f"tree order {n} outside [1, {bound}]")
     if n == 1:
         return [Graph(1, ())]

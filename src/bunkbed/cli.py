@@ -53,33 +53,37 @@ EXIT_CAP = 3
 EXIT_PRECONDITION = 4
 
 
+class EnvironmentParseError(ValueError):
+    """Raised when an environment variable the CLI reads does not parse."""
+
+
 @dataclass(frozen=True)
 class Config:
     """Resolved runtime knobs shared by all subcommands."""
 
     enumeration_cap: int = DEFAULT_ENUMERATION_CAP
-    threads: int = 1
     seed: int = 0
     output: str = "table"  # or "json"
 
 
 def _default_cap() -> int:
     env = os.environ.get("BUNKBED_CAP")
-    if env is not None:
+    if env is None:
+        return DEFAULT_ENUMERATION_CAP
+    try:
         return int(env)
-    return DEFAULT_ENUMERATION_CAP
+    except ValueError:
+        raise EnvironmentParseError(f"BUNKBED_CAP must be an integer, got {env!r}") from None
 
 
 def _config_from(args) -> Config:
     cap = args.cap if args.cap is not None else _default_cap()
     if cap < 1:
         raise ValueError("enumeration cap must be at least 1")
-    threads = args.threads if args.threads is not None else (os.cpu_count() or 1)
-    if threads < 1:
+    if args.threads is not None and args.threads < 1:
         raise ValueError("threads must be at least 1")
     return Config(
         enumeration_cap=cap,
-        threads=threads,
         seed=getattr(args, "seed", 0),
         output="json" if getattr(args, "json", False) else "table",
     )
@@ -145,11 +149,11 @@ def _cmd_prob(args) -> int:
         if args.method == "brute":
             report = event_probability(
                 sw.to_weight(), ConnectivitySpec.connected(x, y),
-                cap=cfg.enumeration_cap, threads=cfg.threads,
+                cap=cfg.enumeration_cap,
             )
         else:
             report = two_point_probability(
-                graph, sw, x, y, cap=cfg.enumeration_cap, threads=cfg.threads
+                graph, sw, x, y, cap=cfg.enumeration_cap
             )
     else:
         if args.method == "decomp":
@@ -158,7 +162,7 @@ def _cmd_prob(args) -> int:
         x, y = int(args.x), int(args.y)
         report = event_probability(
             w, ConnectivitySpec.connected(x, y),
-            cap=cfg.enumeration_cap, threads=cfg.threads,
+            cap=cfg.enumeration_cap,
         )
     _print_probability(report, cfg)
     return EXIT_OK
@@ -176,7 +180,6 @@ def _cmd_check(args) -> int:
         pairs=pairs,
         graph_id=args.graph,
         cap=cfg.enumeration_cap,
-        threads=cfg.threads,
     )
     print(json.dumps(report.to_json(), indent=2))
     return EXIT_VIOLATION if report.violations else EXIT_OK
@@ -193,7 +196,7 @@ def _cmd_reduce(args) -> int:
     side = [int(tok) for tok in args.side.split(",") if tok]
     split = split_at(base, v, side)
     collapsed = collapse_side(
-        bb, sw.to_weight(), split, cap=cfg.enumeration_cap, threads=cfg.threads
+        bb, sw.to_weight(), split, cap=cfg.enumeration_cap
     )
     Path(args.out_graph).write_text(format_graph(collapsed.reduced_graph))
     Path(args.out_weights).write_text(format_weight(collapsed.reduced_weight))
@@ -210,7 +213,7 @@ def _cmd_trees(args) -> int:
         for i, t in enumerate(trees):
             report = check_graph(
                 t, source, graph_id=f"tree-{args.n}-{i}",
-                cap=cfg.enumeration_cap, threads=cfg.threads,
+                cap=cfg.enumeration_cap,
             )
             print(json.dumps(report.to_json()))
             if report.violations:
@@ -247,7 +250,6 @@ def _cmd_search(args) -> int:
         require_two_connected=args.two_connected_only,
         persist_dir=args.persist,
         cap=cfg.enumeration_cap,
-        threads=cfg.threads,
     ):
         print(json.dumps(report.to_json()))
         if report.violations:
@@ -266,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--cap", type=int, default=None,
                        help="enumeration cap in edges (default 30, env BUNKBED_CAP)")
         p.add_argument("--threads", type=int, default=None,
-                       help="worker processes for large enumerations (default: all cores)")
+                       help="accepted for compatibility, at least 1; the kernel runs in one process")
         if seed:
             p.add_argument("--seed", type=int, default=0, help="seed for random weight sources")
 
@@ -329,7 +331,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (GraphParseError, WeightParseError, json.JSONDecodeError) as exc:
+    except (GraphParseError, WeightParseError, EnvironmentParseError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except FileNotFoundError as exc:

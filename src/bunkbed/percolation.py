@@ -9,25 +9,33 @@ product of the per-edge denominators.
 
 One kernel, _partition_numerators, does every enumeration: it walks the
 edges once, keeping one integer numerator per weight for each partition of
-the vertices into open components, so atoms that leave the same partition
-share all later work.  Edges outside a spec's restriction mask never enter
-the enumeration; their factors sum to 1 and are marginalized analytically.
+the live vertices into open components, so atoms that leave the same
+partition share all later work.  The walk follows a narrow-front order and
+forgets each non-terminal vertex right after its last edge, so the table
+holds partitions of the sweep front plus the terminals, not of every
+vertex; what comes out is the exact distribution over partitions of the
+terminal set.  Reordering only permutes the factors of integer products,
+so every result is the same Fraction whatever the order.  Edges outside a
+spec's restriction mask never enter the enumeration; their factors sum to
+1 and are marginalized analytically.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from operator import add, mul
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .graphs import BunkbedGraph, Graph
 
 DEFAULT_ENUMERATION_CAP = 30
 
-# below this many atoms a process pool costs more than it saves
-PARALLEL_MIN_ATOMS = 1 << 18
+# every enumeration runs in one process: no atom count reaches a pool; the
+# name stays because bench/tracer.py reads it to count pool calls
+PARALLEL_MIN_ATOMS = float("inf")
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -56,6 +64,16 @@ def _check_probability(value: Fraction, what: str) -> Fraction:
     return value
 
 
+def _unit_fractions(values, what: str) -> tuple[Fraction, ...]:
+    """The values as Fractions, each checked to lie in [0, 1]."""
+    vals = tuple(v if type(v) is Fraction else Fraction(v) for v in values)
+    for i, v in enumerate(vals):
+        # a Fraction's denominator is positive, so integer bounds suffice
+        if not 0 <= v.numerator <= v.denominator:
+            raise ValueError(f"{what} {i} must lie in [0, 1], got {v}")
+    return vals
+
+
 @dataclass(frozen=True)
 class Weight:
     """A per-edge rational open probability on a fixed graph."""
@@ -68,10 +86,7 @@ class Weight:
             raise ValueError(
                 f"need {self.graph.edge_count} edge values, got {len(self.values)}"
             )
-        vals = tuple(Fraction(v) for v in self.values)
-        for i, v in enumerate(vals):
-            _check_probability(v, f"weight of edge {i}")
-        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "values", _unit_fractions(self.values, "weight of edge"))
 
     @classmethod
     def uniform(cls, graph: Graph, p) -> "Weight":
@@ -100,14 +115,9 @@ class SymmetricWeight:
             raise ValueError("one value per base edge required")
         if len(self.post_values) != self.bunkbed.base.vertex_count:
             raise ValueError("one value per base vertex required")
-        bv = tuple(Fraction(v) for v in self.base_values)
-        pv = tuple(Fraction(v) for v in self.post_values)
-        for i, v in enumerate(bv):
-            _check_probability(v, f"weight of base edge {i}")
-        for i, v in enumerate(pv):
-            _check_probability(v, f"weight of post {i}")
+        bv = _unit_fractions(self.base_values, "weight of base edge")
         object.__setattr__(self, "base_values", bv)
-        object.__setattr__(self, "post_values", pv)
+        object.__setattr__(self, "post_values", _unit_fractions(self.post_values, "weight of post"))
 
     @classmethod
     def uniform(cls, bb: BunkbedGraph, p) -> "SymmetricWeight":
@@ -186,52 +196,109 @@ def atom_probability(w: Weight, edge_subset) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
+class _Schedule(NamedTuple):
+    """How the kernel walks one edge set for one terminal set.
+
+    order lists positions into the enumerated edges; forget[k] holds the
+    non-terminal vertices whose last edge is the k-th one walked; width is
+    the most vertices live at once (met by a walked edge, not yet forgotten).
+    """
+
+    order: tuple[int, ...]
+    forget: tuple[tuple[int, ...], ...]
+    width: int
+
+
+@lru_cache(maxsize=256)
+def _edge_schedule(
+    n: int, edges: tuple[tuple[int, int], ...], terminals: tuple[int, ...]
+) -> _Schedule:
+    """A narrow-front walk: start at a terminal, then place, each time, the
+    vertex with the most edges to placed ones (ties: lower degree, then
+    lower index), walking its edges to them as it is placed."""
+    adjacency: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for k, (u, v) in enumerate(edges):
+        adjacency[u].append((v, k))
+        adjacency[v].append((u, k))
+    links = [0] * n  # edges to placed vertices
+    unplaced = {x for x in range(n) if adjacency[x]}
+    start = min((t for t in terminals if t in unplaced), default=None)
+    order: list[int] = []
+    while unplaced:
+        x = start if start is not None else min(
+            unplaced, key=lambda y: (-links[y], len(adjacency[y]), y)
+        )
+        start = None
+        unplaced.discard(x)
+        for y, k in sorted(adjacency[x], key=lambda a: a[1]):
+            if y in unplaced:
+                links[y] += 1
+            else:
+                order.append(k)
+    return _walk(edges, terminals, order)
+
+
+def _walk(
+    edges: Sequence[tuple[int, int]], terminals: tuple[int, ...], order: Sequence[int]
+) -> _Schedule:
+    """The schedule that walks `edges` in `order`, any order of them."""
+    keep = set(terminals)
+    last = {}
+    for step, k in enumerate(order):
+        for x in edges[k]:
+            last[x] = step
+    forget: list[list[int]] = [[] for _ in order]
+    for x, step in last.items():
+        if x not in keep:
+            forget[step].append(x)
+    width = live = 0
+    met = set()
+    for step, k in enumerate(order):
+        for x in edges[k]:
+            if x not in met:
+                met.add(x)
+                live += 1
+        width = max(width, live)
+        live -= len(forget[step])
+    return _Schedule(tuple(order), tuple(map(tuple, forget)), width)
+
+
 def _partition_numerators(
     n: int,
     edges: Sequence[tuple[int, int]],
     factors: Sequence[tuple[tuple[int, ...], tuple[int, ...]]],
     count: int,
-    start: int = 0,
-    stop: int | None = None,
-) -> tuple[list[tuple[int, ...]], list[list[int]]]:
-    """The exact integer numerator of every partition into open components.
+    terminals: tuple[int, ...],
+    schedule: _Schedule,
+) -> tuple[list[tuple[int, ...]], list[list[int]], int]:
+    """The exact integer numerator of every partition of the terminals into
+    open components.
 
     The one enumeration loop of the package.  An atom opens or closes each
-    of the m `edges`; read as a binary number whose highest bit is
-    edges[0], the atoms are 0 .. 2^m - 1, and only atoms with
-    start <= atom < stop are summed (all of them by default), so disjoint
-    slices add up exactly to the whole.  factors[i] holds the open and the
-    closed numerator of edge i under each of `count` weights.  Returns the
-    partitions, each as the smallest vertex of every vertex's component,
-    and one column of numerators per weight.
+    of the m `edges`; factors[i] holds the open and the closed numerator of
+    edge i under each of `count` weights.  Returns the partitions, each as
+    the smallest terminal of every terminal's component, one column of
+    numerators per weight, and the peak number of table entries.
 
-    The edges are walked in order, keeping one entry per partition: all
-    atoms whose edges so far leave the same components share it and its
-    numerator per weight.  An edge inside one component multiplies the
-    entry by the edge's whole denominator; an edge between two components
-    splits it into a closed and a merged entry.  A branch whose factor is 0
-    under every weight is dropped.  A slice is the atoms below stop minus
-    those below start: the one prefix still equal to a bound's is carried
-    apart, and each time the bound has a 1 bit, the atoms that close that
-    edge fall below the bound and join the table, negated for start.
+    The edges are walked in the schedule's order, keeping one entry per
+    partition of the live vertices: all atoms whose edges so far leave the
+    same components share it and its numerator per weight.  An edge inside
+    one component multiplies the entry by the edge's whole denominator; an
+    edge between two components splits it into a closed and a merged entry.
+    A branch whose factor is 0 under every weight is dropped.  Right after
+    a non-terminal vertex's last edge it is forgotten: its component is
+    renamed by its smallest remaining vertex, and entries that become equal
+    are merged.
     """
-    m = len(edges)
-    if stop is None:
-        stop = 1 << m
-    # character i of a key names the smallest vertex of vertex i's component,
-    # so merging two components is one str.replace
-    first = "".join(map(chr, range(n)))
-    table: dict[str, tuple[int, ...]] = {}
-    held = []  # [bound, key, numerators] of the prefix equal to the bound's
-    if start < stop:
-        if stop >> m:
-            table[first] = (1,) * count
-        else:
-            held.append([stop, first, (1,) * count])
-        if start:
-            held.append([start, first, (-1,) * count])
-    for i, (u, v) in enumerate(edges):
-        opens, closeds = factors[i]
+    # character x of a key names the smallest live vertex of x's component,
+    # so merging two components is one str.replace; a forgotten vertex
+    # holds `gone`, which names no component
+    gone = chr(n)
+    table: dict[str, tuple[int, ...]] = {"".join(map(chr, range(n))): (1,) * count}
+    states = 1
+    for k, dropped in zip(schedule.order, schedule.forget):
+        u, v = edges[k]
+        opens, closeds = factors[k]
         wholes = tuple(map(add, opens, closeds))
         can_open, can_close = any(opens), any(closeds)
         nxt: dict[str, tuple[int, ...]] = {}
@@ -253,26 +320,32 @@ def _partition_numerators(
                 vals = tuple(map(mul, nums, opens))
                 old = get(key)
                 nxt[key] = vals if old is None else tuple(map(add, old, vals))
-        for path in held:
-            bound, lab, nums = path
-            closed = tuple(map(mul, nums, closeds))
-            if bound >> (m - 1 - i) & 1:
+        states = max(states, len(nxt))
+        if dropped:
+            table = {}
+            get = table.get
+            while nxt:
+                lab, nums = nxt.popitem()
+                for x in dropped:
+                    c = lab[x]
+                    if c == chr(x):  # x names its component: pass the name on
+                        y = lab.find(c, x + 1)
+                        if y >= 0:
+                            lab = lab.replace(c, chr(y))
+                    lab = lab[:x] + gone + lab[x + 1:]
                 old = get(lab)
-                nxt[lab] = closed if old is None else tuple(map(add, old, closed))
-                a, b = sorted((lab[u], lab[v]))
-                path[1:] = lab.replace(b, a), tuple(map(mul, nums, opens))
-            else:
-                path[2] = closed
-        table = nxt
+                table[lab] = nums if old is None else tuple(map(add, old, nums))
+        else:
+            table = nxt
     labels: list[tuple[int, ...]] = []
     columns: list[list[int]] = [[] for _ in range(count)]
     while table:
         lab, nums = table.popitem()
-        if any(nums):  # a partition met only by atoms of the other slices
-            labels.append(tuple(map(ord, lab)))
+        if any(nums):  # a partition no weight can reach
+            labels.append(tuple(ord(lab[t]) for t in terminals))
             for column, num in zip(columns, nums):
                 column.append(num)
-    return labels, columns
+    return labels, columns, states
 
 
 def _enumerated_edges(graph: Graph, restriction, cap: int) -> list[int]:
@@ -288,8 +361,7 @@ def _distributions(
     weights: Sequence[Weight],
     edges: list[int],
     restriction: tuple[int, ...] | None,
-    start: int = 0,
-    stop: int | None = None,
+    terminals: tuple[int, ...],
 ) -> list[ConnectivityDistribution]:
     """Run the kernel over `edges` for every weight at once."""
     factors = []
@@ -301,11 +373,15 @@ def _distributions(
             tuple(p.denominator - p.numerator for p in values),
         ))
         denominators = [d * p.denominator for d, p in zip(denominators, values)]
-    labels, columns = _partition_numerators(
-        graph.vertex_count, [graph.edges[e] for e in edges], factors, len(weights), start, stop
+    pairs = tuple(graph.edges[e] for e in edges)
+    schedule = _edge_schedule(graph.vertex_count, pairs, terminals)
+    labels, columns, states = _partition_numerators(
+        graph.vertex_count, pairs, factors, len(weights), terminals, schedule
     )
     return [
-        ConnectivityDistribution(graph, restriction, labels, nums, d)
+        ConnectivityDistribution(
+            graph, restriction, labels, nums, d, terminals, schedule.width, states
+        )
         for nums, d in zip(columns, denominators)
     ]
 
@@ -321,46 +397,21 @@ def event_probability(
 
     Sums the measure of every edge subset satisfying all positive and
     negative constraints.  With a restriction only masked edges are
-    enumerated (2^|mask| atoms); unmasked edges marginalize to 1.
+    enumerated (2^|mask| atoms); unmasked edges marginalize to 1.  The
+    kernel keeps only the spec's own vertices as terminals.  `threads` is
+    accepted for compatibility; the kernel runs in one process.
     """
     t0 = time.perf_counter()
     spec.validate(w.graph)
     edges = _enumerated_edges(w.graph, spec.restriction, cap)
-    atoms = 1 << len(edges)
-    value = None
-    if threads > 1 and atoms >= PARALLEL_MIN_ATOMS:
-        value = _parallel_event(w, edges, spec, atoms, threads)
-    if value is None:
-        value = _slice_probability((w, edges, spec, 0, atoms))
+    terminals = tuple(sorted({x for pair in spec.positive + spec.negative for x in pair}))
+    value = _distributions(w.graph, [w], edges, None, terminals)[0].probability(spec)
     return ProbabilityReport(
         value=value,
         method="brute_force",
-        atoms_evaluated=atoms,
+        atoms_evaluated=1 << len(edges),
         elapsed=time.perf_counter() - t0,
     )
-
-
-def _slice_probability(task) -> Fraction:
-    """The event's measure over one slice of the atoms."""
-    w, edges, spec, start, stop = task
-    return _distributions(w.graph, [w], edges, None, start, stop)[0].probability(spec)
-
-
-def _parallel_event(w, edges, spec, atoms, threads) -> Fraction | None:
-    """Split the atoms into one slice per worker and add the exact parts.
-
-    Returns None if a worker pool cannot be created; the caller then falls
-    back to the sequential path.
-    """
-    from concurrent.futures import ProcessPoolExecutor
-
-    step = -(-atoms // threads)
-    tasks = [(w, edges, spec, lo, min(lo + step, atoms)) for lo in range(0, atoms, step)]
-    try:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            return sum(pool.map(_slice_probability, tasks), ZERO)
-    except OSError:
-        return None
 
 
 def connection_probability(
@@ -383,7 +434,7 @@ def connection_probability(
 
 def sum_over_all_atoms(w: Weight, *, cap: int = DEFAULT_ENUMERATION_CAP) -> Fraction:
     """Sum of all atom probabilities; must be exactly 1 (normalization self-test)."""
-    dist = _distributions(w.graph, [w], _enumerated_edges(w.graph, None, cap), None)[0]
+    dist = _distributions(w.graph, [w], _enumerated_edges(w.graph, None, cap), None, ())[0]
     return Fraction(sum(dist.numerators), dist.denominator)
 
 
@@ -394,14 +445,15 @@ def sum_over_all_atoms(w: Weight, *, cap: int = DEFAULT_ENUMERATION_CAP) -> Frac
 
 @dataclass
 class ConnectivityDistribution:
-    """The exact measure of one enumeration, grouped by the partition of the
-    vertex set into open components.
+    """The exact measure of one enumeration, grouped by the partition of a
+    terminal set into open components.
 
-    labels[i] maps each vertex to the smallest vertex of its component, so
-    every partition has one slot; numerators[i] is the total atom numerator
-    landing on that partition, over `denominator`.  Any conjunction of
-    connectivity constraints measurable over the enumerated edges can be
-    read off exactly.
+    labels[i][k] is the smallest terminal in the component of terminals[k],
+    so every partition has one slot; numerators[i] is the total atom
+    numerator landing on that partition, over `denominator`.  Any
+    conjunction of connectivity constraints between terminals, measurable
+    over the enumerated edges, can be read off exactly.  width is the most
+    vertices the kernel held live at once, states its peak table size.
     """
 
     graph: Graph
@@ -409,11 +461,24 @@ class ConnectivityDistribution:
     labels: list[tuple[int, ...]]
     numerators: list[int]
     denominator: int
+    terminals: tuple[int, ...]
+    width: int
+    states: int
+    _index: dict[int, int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self._index = {t: k for k, t in enumerate(self.terminals)}
+
+    def _positions(self, pairs) -> list[tuple[int, int]]:
+        try:
+            return [(self._index[x], self._index[y]) for x, y in pairs]
+        except KeyError as exc:
+            raise ValueError(f"vertex {exc.args[0]} is not a terminal of this distribution") from None
 
     def probability(self, spec: ConnectivitySpec) -> Fraction:
         spec.validate(self.graph)
-        pos = spec.positive
-        neg = spec.negative
+        pos = self._positions(spec.positive)
+        neg = self._positions(spec.negative)
         total = 0
         for lab, num in zip(self.labels, self.numerators):
             ok = True
@@ -431,13 +496,7 @@ class ConnectivityDistribution:
         return Fraction(total, self.denominator)
 
     def connection(self, x: int, y: int) -> Fraction:
-        if x == y:
-            return ONE
-        total = 0
-        for lab, num in zip(self.labels, self.numerators):
-            if lab[x] == lab[y]:
-                total += num
-        return Fraction(total, self.denominator)
+        return ONE if x == y else self.probability(ConnectivitySpec.connected(x, y))
 
 
 def connectivity_distributions(
@@ -446,24 +505,37 @@ def connectivity_distributions(
     *,
     restriction=None,
     cap: int = DEFAULT_ENUMERATION_CAP,
+    terminals=None,
 ) -> list[ConnectivityDistribution]:
     """One enumeration shared by several weights on the same graph.
 
     The partitions the kernel walks are the same for every weight, so
     checking many weights against one graph costs one walk plus one
-    multiply-add per weight per partition entry.
+    multiply-add per weight per partition entry.  The partitions are those
+    of `terminals` (default: every vertex); fewer terminals mean fewer
+    partitions.
     """
     for w in weights:
         if w.graph is not graph and w.graph != graph:
             raise ValueError("all weights must live on the given graph")
+    if terminals is None:
+        terminals = range(graph.vertex_count)
+    terminals = tuple(sorted(set(terminals)))
+    for t in terminals:
+        if not 0 <= t < graph.vertex_count:
+            raise ValueError(f"terminal {t} out of range")
     edges = _enumerated_edges(graph, restriction, cap)
-    return _distributions(graph, weights, edges, None if restriction is None else tuple(edges))
+    return _distributions(
+        graph, weights, edges, None if restriction is None else tuple(edges), terminals
+    )
 
 
 def connectivity_distribution(
-    w: Weight, *, restriction=None, cap: int = DEFAULT_ENUMERATION_CAP
+    w: Weight, *, restriction=None, cap: int = DEFAULT_ENUMERATION_CAP, terminals=None
 ) -> ConnectivityDistribution:
-    return connectivity_distributions(w.graph, [w], restriction=restriction, cap=cap)[0]
+    return connectivity_distributions(
+        w.graph, [w], restriction=restriction, cap=cap, terminals=terminals
+    )[0]
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,12 @@ probability between vertices of the kept side is preserved.  Crossing
 combines the two sides' connection probabilities into the whole-graph
 probability for a pair separated by v via a three-term
 inclusion-exclusion.  two_point_probability composes both recursively
-along the block structure and falls back to exhaustive enumeration on
-pieces without a usable cut vertex.
+along the block structure.  What is left, a block with no usable cut
+vertex or a joint term of a cross, goes to the enumeration kernel with
+both layers of the queried base vertices as terminals, so it costs the
+partitions of a narrow sweep front rather than of the whole piece; the
+pair, cross-layer and joint queries on one piece share one cached
+terminal distribution.
 """
 
 from __future__ import annotations
@@ -157,7 +161,8 @@ def collapse_side(
     probabilities.  Works for arbitrary (not necessarily symmetric) weights.
 
     The collapsed post value is computed by exhaustive enumeration of the G
-    side's bunkbed, so that side must fit under the cap.
+    side's bunkbed, so that side must fit under the cap.  `threads` is
+    accepted for compatibility; the kernel runs in one process.
     """
     if split.whole != f.base:
         raise ValueError("split does not belong to the given bunkbed's base graph")
@@ -172,7 +177,6 @@ def collapse_side(
             Weight(bs.g.total, tuple(g_vals)),
             ConnectivitySpec.connected(vm, vm + ng),
             cap=cap,
-            threads=threads,
         ).value
     except EnumerationCapError as exc:
         raise EnumerationCapError(
@@ -251,33 +255,29 @@ class _Stats:
         self.atoms = 0
 
 
-@lru_cache(maxsize=32)
-def _cached_distribution(graph: Graph, values: tuple, restriction, cap: int):
-    """Enumeration results for one (graph, weight) pair, shared across the
-    many pair and joint queries the engine makes against the same piece."""
+# an entry is a distribution over at most four terminals (two base vertices,
+# both layers), so at most 15 partitions: a deep cache stays small
+@lru_cache(maxsize=256)
+def _cached_distribution(graph: Graph, values: tuple, restriction, terminals: tuple, cap: int):
+    """Enumeration results for one (graph, weight, terminal set), shared
+    across the many pair and joint queries the engine makes against the
+    same piece."""
     return connectivity_distribution(
-        Weight(graph, values), restriction=restriction, cap=cap
+        Weight(graph, values), restriction=restriction, cap=cap, terminals=terminals
     )
 
 
-# one-off enumerations at least this many edges go to the slice-parallel
-# event engine instead of the shared sequential pass, when threads allow
-_PARALLEL_LEAF_EDGES = 20
-
-
-def _leaf_probability(total, values, spec, stats, cap, threads, context):
+def _leaf_probability(total, values, spec, stats, cap, context):
     """One enumeration leaf of the engine: a pair or joint event on a piece
-    with no further decomposition.  Results are cached per (graph, weight)
-    so that many queries against the same piece share one pass."""
+    with no further decomposition.  The terminals are both layers of every
+    base vertex the spec names, so the same-layer, cross-layer and joint
+    queries on one piece share one cached distribution."""
     m = total.edge_count if spec.restriction is None else len(spec.restriction)
+    n = total.vertex_count // 2
+    base = {x % n for pair in spec.positive + spec.negative for x in pair}
+    terminals = tuple(sorted(base | {x + n for x in base}))
     try:
-        if threads > 1 and m >= _PARALLEL_LEAF_EDGES:
-            rep = event_probability(
-                Weight(total, tuple(values)), spec, cap=cap, threads=threads
-            )
-            stats.atoms += rep.atoms_evaluated
-            return rep.value
-        dist = _cached_distribution(total, tuple(values), spec.restriction, cap)
+        dist = _cached_distribution(total, tuple(values), spec.restriction, terminals, cap)
     except EnumerationCapError as exc:
         raise EnumerationCapError(exc.needed, exc.cap, context=context) from exc
     stats.atoms += 1 << m
@@ -288,7 +288,7 @@ def _edges_within(base: Graph, vertex_set: set[int]) -> int:
     return sum(1 for u, v in base.edges if u in vertex_set and v in vertex_set)
 
 
-def _solve(base, values, a, b, origin, stats, cap, threads) -> Fraction:
+def _solve(base, values, a, b, origin, stats, cap) -> Fraction:
     """Exact a~b connection probability in bunkbed(base) under `values`.
 
     `origin` maps current base vertices to vertices of the original query
@@ -318,7 +318,6 @@ def _solve(base, values, a, b, origin, stats, cap, threads) -> Fraction:
             tuple(origin[w] for w in vemb),
             stats,
             cap,
-            threads,
         )
 
     cuts = sorted(cut_vertices(base))
@@ -352,7 +351,7 @@ def _solve(base, values, a, b, origin, stats, cap, threads) -> Fraction:
         origin_g = tuple(origin[w] for w in split.g_vertices)
         post_value = _solve(
             split.side_g, g_vals, split.cut_in_g, split.cut_in_g + ng,
-            origin_g, stats, cap, threads,
+            origin_g, stats, cap,
         )
         h_bb = bunkbed(split.side_h)
         h_vals = _side_values(values, base, split.side_h, h_bb, split.h_vertices, split.h_edges)
@@ -364,7 +363,7 @@ def _solve(base, values, a, b, origin, stats, cap, threads) -> Fraction:
             hpos[abar] + layer_a * nh,
             hpos[bbar] + layer_b * nh,
             tuple(origin[w] for w in split.h_vertices),
-            stats, cap, threads,
+            stats, cap,
         )
 
     # Cross at a cut vertex separating the projections, choosing the one
@@ -395,14 +394,14 @@ def _solve(base, values, a, b, origin, stats, cap, threads) -> Fraction:
         vg_minus = split.cut_in_g
         vg_plus = split.cut_in_g + ng
         origin_g = tuple(origin[w] for w in split.g_vertices)
-        g_minus = _solve(split.side_g, g_vals, a_g, vg_minus, origin_g, stats, cap, threads)
-        g_plus = _solve(split.side_g, g_vals, a_g, vg_plus, origin_g, stats, cap, threads)
+        g_minus = _solve(split.side_g, g_vals, a_g, vg_minus, origin_g, stats, cap)
+        g_plus = _solve(split.side_g, g_vals, a_g, vg_plus, origin_g, stats, cap)
         if g_minus == ZERO or g_plus == ZERO:
             g_both = ZERO
         else:
             g_both = _joint_probability(
                 g_bb.total, g_vals, ((a_g, vg_minus), (a_g, vg_plus)),
-                None, origin_g, stats, cap, threads,
+                None, origin_g, stats, cap,
             )
 
         h_bb = bunkbed(split.side_h)
@@ -414,15 +413,15 @@ def _solve(base, values, a, b, origin, stats, cap, threads) -> Fraction:
         origin_h = tuple(origin[w] for w in split.h_vertices)
         zero_vals = list(h_vals)
         zero_vals[h_bb.post_edge(split.cut_in_h)] = ZERO
-        h0_minus = _solve(split.side_h, zero_vals, vh_minus, b_h, origin_h, stats, cap, threads)
-        h0_plus = _solve(split.side_h, zero_vals, vh_plus, b_h, origin_h, stats, cap, threads)
+        h0_minus = _solve(split.side_h, zero_vals, vh_minus, b_h, origin_h, stats, cap)
+        h0_plus = _solve(split.side_h, zero_vals, vh_plus, b_h, origin_h, stats, cap)
         if h0_minus == ZERO or h0_plus == ZERO:
             h0_both = ZERO
         else:
             mask = frozenset(range(h_bb.total.edge_count)) - {h_bb.post_edge(split.cut_in_h)}
             h0_both = _joint_probability(
                 h_bb.total, h_vals, ((vh_minus, b_h), (vh_plus, b_h)),
-                mask, origin_h, stats, cap, threads,
+                mask, origin_h, stats, cap,
             )
         terms = CrossSideTerms(
             g_minus=g_minus, g_plus=g_plus, g_both=g_both,
@@ -433,17 +432,17 @@ def _solve(base, values, a, b, origin, stats, cap, threads) -> Fraction:
     # No usable cut vertex: exhaustive enumeration of this block's bunkbed.
     bb = bunkbed(base)
     return _leaf_probability(
-        bb.total, values, ConnectivitySpec.connected(a, b), stats, cap, threads,
+        bb.total, values, ConnectivitySpec.connected(a, b), stats, cap,
         context=f"block on base vertices {sorted(origin)}",
     )
 
 
-def _joint_probability(total, values, pairs, restriction, origin, stats, cap, threads):
+def _joint_probability(total, values, pairs, restriction, origin, stats, cap):
     """Joint connectivity events are not decomposed further; they go to the
     generic enumeration engine."""
     spec = ConnectivitySpec(positive=tuple(pairs), restriction=restriction)
     return _leaf_probability(
-        total, values, spec, stats, cap, threads,
+        total, values, spec, stats, cap,
         context=f"joint term on base vertices {sorted(origin)}",
     )
 
@@ -460,11 +459,12 @@ def two_point_probability(
     """Exact connection probability between two bunkbed vertices of base.
 
     Recursively collapses sides away from the pair, crosses separating cut
-    vertices by inclusion-exclusion (joint terms via plain enumeration),
-    and falls back to exhaustive enumeration on pieces with no usable cut
-    vertex.  Accepts an arbitrary weight on bunkbed(base).total or a
-    SymmetricWeight; collapsed weights are generally not symmetric, so all
-    internal work is on arbitrary weights.
+    vertices by inclusion-exclusion (joint terms via the kernel's
+    terminal distributions), and falls back to the kernel on pieces with no
+    usable cut vertex.  Accepts an arbitrary weight on bunkbed(base).total
+    or a SymmetricWeight; collapsed weights are generally not symmetric, so
+    all internal work is on arbitrary weights.  `threads` is accepted for
+    compatibility; the kernel runs in one process.
     """
     t0 = time.perf_counter()
     if isinstance(weight, SymmetricWeight):
@@ -481,7 +481,7 @@ def two_point_probability(
         if not 0 <= t < n2:
             raise ValueError(f"bunkbed vertex {t} out of range")
     stats = _Stats()
-    value = _solve(base, values, a, b, tuple(range(base.vertex_count)), stats, cap, threads)
+    value = _solve(base, values, a, b, tuple(range(base.vertex_count)), stats, cap)
     return ProbabilityReport(
         value=value,
         method="decomposition",

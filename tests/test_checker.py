@@ -251,8 +251,10 @@ class TestEnumerateTrees:
     def test_bound(self):
         with pytest.raises(BoundExceededError):
             enumerate_trees(9)
-        with pytest.raises(BoundExceededError):
-            enumerate_trees(0)
+        for n in (0, -1):  # below 1 is a failed precondition, not a bound
+            with pytest.raises(ValueError) as info:
+                enumerate_trees(n)
+            assert not isinstance(info.value, BoundExceededError)
         assert len(enumerate_trees(8)) == 23
 
     def test_deterministic_order(self):

@@ -203,6 +203,11 @@ class TestTrees:
     def test_bound_exit_3(self):
         assert main(["trees", "12"]) == 3
 
+    @pytest.mark.parametrize("n", ["0", "-1"])
+    def test_order_below_one_exit_4(self, n, capsys):
+        assert main(["trees", n]) == 4
+        assert "at least 1" in capsys.readouterr().err
+
 
 class TestSearch:
     def test_streams_reports(self, tmp_path, capsys):
@@ -238,6 +243,13 @@ class TestInputEdges:
         g, w = p3_files
         assert main(["prob", g, w, "0", "2", "--threads", threads]) == 4
         assert main(["check", g, "--weights", "grid:1/2", "--threads", threads]) == 4
+
+    def test_env_cap_not_an_integer_exit_2(self, p3_files, monkeypatch, capsys):
+        # as `--cap x` does: a value that does not parse is a parse error
+        g, w = p3_files
+        monkeypatch.setenv("BUNKBED_CAP", "x")
+        assert main(["prob", g, w, "0", "2"]) == 2
+        assert "BUNKBED_CAP" in capsys.readouterr().err
 
     def test_decimal_grid_values_still_parse(self, p3_files, capsys):
         g, _ = p3_files

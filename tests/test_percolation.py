@@ -1,8 +1,12 @@
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from bunkbed import percolation
 from bunkbed.graphs import Graph, bunkbed, connected_in_subset
 from bunkbed.percolation import (
     ConnectivitySpec,
@@ -21,9 +25,8 @@ from bunkbed.percolation import (
     parse_weight_file,
     sum_over_all_atoms,
 )
-from bunkbed.percolation import _distributions
 
-from oracles import bfs_reachable, naive_event_probability
+from oracles import naive_event_probability
 
 F = Fraction
 
@@ -162,60 +165,6 @@ class TestEventProbability:
         with pytest.raises(EnumerationCapError):
             event_probability(w, ConnectivitySpec.connected(0, 1), cap=20)
 
-    def test_chunked_partial_sums_combine_exactly(self):
-        # the atoms can be sliced arbitrarily: a slice holds exactly its own
-        # atoms (bit m-1-i of an atom opens edge i), and the integer
-        # numerators of the slices add up to those of the whole enumeration
-        rng = random.Random(41)
-        g = random_graph(rng, 5, 0.7)
-        w = random_weight(rng, g)
-        m = g.edge_count
-        edges = list(range(m))
-
-        def atom_by_atom(lo, hi):
-            out = {}
-            for atom in range(lo, hi):
-                is_open = [atom >> (m - 1 - e) & 1 for e in edges]
-                open_edges = [g.edges[e] for e in edges if is_open[e]]
-                lab = tuple(min(bfs_reachable(5, open_edges, [x])) for x in range(5))
-                num = 1
-                for e in edges:
-                    p = w.values[e]
-                    num *= p.numerator if is_open[e] else p.denominator - p.numerator
-                out[lab] = out.get(lab, 0) + num
-            return {lab: num for lab, num in out.items() if num}
-
-        def nonzero(dist):
-            return {lab: num for lab, num in zip(dist.labels, dist.numerators) if num}
-
-        full = _distributions(g, [w], edges, None)[0]
-        assert nonzero(full) == atom_by_atom(0, 1 << m)
-        for chunks in (2, 3, 7):
-            bounds = sorted({0, 1 << m} | {rng.randrange(1 << m) for _ in range(chunks)})
-            total: dict = {}
-            for lo, hi in zip(bounds, bounds[1:]):
-                part = _distributions(g, [w], edges, None, lo, hi)[0]
-                assert part.denominator == full.denominator
-                assert nonzero(part) == atom_by_atom(lo, hi)
-                for lab, num in zip(part.labels, part.numerators):
-                    total[lab] = total.get(lab, 0) + num
-            assert {lab: num for lab, num in total.items() if num} == nonzero(full)
-
-    def test_threads_agree_with_sequential(self):
-        g = Graph(10, tuple((i, i + 1) for i in range(9)) + ((0, 9),))
-        w = Weight.uniform(g, F(1, 3))
-        spec = ConnectivitySpec.connected(0, 5)
-        seq = event_probability(w, spec, threads=1)
-        import bunkbed.percolation as perc
-
-        old = perc.PARALLEL_MIN_ATOMS
-        perc.PARALLEL_MIN_ATOMS = 1 << 8
-        try:
-            par = event_probability(w, spec, threads=2)
-        finally:
-            perc.PARALLEL_MIN_ATOMS = old
-        assert par.value == seq.value
-
 
 class TestKernelAgainstOracle:
     def test_kernel_matches_naive_oracle(self):
@@ -266,6 +215,132 @@ class TestKernelAgainstOracle:
         assert seen == {
             "no edges", "isolated vertex", "restriction", "negative pair", "below 2^62", "at least 2^62",
         }
+
+
+def nonzero(dist) -> dict:
+    return {lab: num for lab, num in zip(dist.labels, dist.numerators) if num}
+
+
+def projected(dist, terminals) -> dict:
+    """An all-vertex distribution read on `terminals` alone, each terminal
+    labelled by the smallest terminal of its component."""
+    out: dict = {}
+    for lab, num in zip(dist.labels, dist.numerators):
+        key = tuple(min(s for s in terminals if lab[s] == lab[t]) for t in terminals)
+        out[key] = out.get(key, 0) + num
+    return {key: num for key, num in out.items() if num}
+
+
+class TestTerminalDistributions:
+    def test_projection_of_the_all_vertex_distribution(self):
+        # weights of 0 and 1, isolated vertices, disconnected graphs,
+        # restriction masks, empty and full terminal sets
+        rng = random.Random(97)
+        seen = set()
+        for _ in range(60):
+            n = rng.randint(1, 6)
+            g = random_graph(rng, n, rng.choice([0.2, 0.5, 0.8]))
+            m = g.edge_count
+            if any(all(x not in e for e in g.edges) for x in range(n)):
+                seen.add("isolated vertex")
+            if not g.is_connected():
+                seen.add("disconnected")
+            batch = [
+                Weight(g, tuple(F(rng.randint(0, 1)) for _ in range(m))),
+                random_weight(rng, g),
+                random_weight(rng, g, denominator=5),
+            ]
+            mask = None
+            if rng.random() < 0.4:
+                mask = frozenset(e for e in range(m) if rng.random() < 0.6)
+                seen.add("restriction")
+            terminals = tuple(sorted(rng.sample(range(n), rng.randint(0, n))))
+            seen.add(("terminals", len(terminals) == 0, len(terminals) == n))
+            whole = connectivity_distributions(g, batch, restriction=mask)
+            part = connectivity_distributions(g, batch, restriction=mask, terminals=terminals)
+            for w, full, dist in zip(batch, whole, part):
+                assert dist.terminals == terminals
+                assert dist.denominator == full.denominator
+                assert nonzero(dist) == projected(full, terminals)
+                assert 1 <= dist.states and dist.width <= n
+        assert {"isolated vertex", "disconnected", "restriction"} <= seen
+        assert ("terminals", True, False) in seen and ("terminals", False, True) in seen
+
+    def test_bunkbed_events_match_naive_oracle(self):
+        # random bases with up to 6 vertices, symmetric weights with posts
+        # at 0 and 1 among others, positive and negative pairs
+        rng = random.Random(101)
+        checked = 0
+        while checked < 25:
+            base = random_graph(rng, rng.randint(1, 6), rng.choice([0.2, 0.4]))
+            bb = bunkbed(base)
+            if bb.total.edge_count > 12:
+                continue
+            sw = SymmetricWeight(
+                bb,
+                tuple(F(rng.randint(0, 4), 4) for _ in range(base.edge_count)),
+                tuple(F(rng.randint(0, 4), 4) for _ in range(base.vertex_count)),
+            )
+            w = sw.to_weight()
+            n2 = bb.total.vertex_count
+            pos = tuple((rng.randrange(n2), rng.randrange(n2)) for _ in range(rng.randint(1, 2)))
+            neg = tuple((rng.randrange(n2), rng.randrange(n2)) for _ in range(rng.randint(0, 1)))
+            mask = None
+            if rng.random() < 0.3:
+                mask = frozenset(e for e in range(bb.total.edge_count) if rng.random() < 0.7)
+            spec = ConnectivitySpec(positive=pos, negative=neg, restriction=mask)
+            want = naive_event_probability(w, pos, neg, restriction=mask)
+            assert event_probability(w, spec).value == want
+            terminals = {x for pair in pos + neg for x in pair}
+            dist = connectivity_distribution(w, restriction=mask, terminals=terminals)
+            assert dist.probability(spec) == want
+            checked += 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 6),
+        edge_bits=st.integers(0, (1 << 15) - 1),
+        data=st.data(),
+    )
+    def test_shuffled_edge_order_gives_the_identical_fraction(self, n, edge_bits, data):
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        g = Graph(n, tuple(e for k, e in enumerate(pairs) if edge_bits >> k & 1))
+        m = g.edge_count
+        values = data.draw(st.lists(st.fractions(0, 1, max_denominator=6), min_size=m, max_size=m))
+        w = Weight(g, tuple(values))
+        terminals = tuple(data.draw(st.sets(st.integers(0, n - 1))))
+        order = data.draw(st.permutations(range(m)))
+        x, y = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+        spec = ConnectivitySpec(positive=((x, y),))
+        greedy_dist = connectivity_distribution(w, terminals=terminals)
+        greedy = event_probability(w, spec).value
+        shuffled = lambda n, edges, terminals: percolation._walk(edges, terminals, order)
+        with mock.patch.object(percolation, "_edge_schedule", shuffled):
+            dist = connectivity_distribution(w, terminals=terminals)
+            value = event_probability(w, spec).value
+        assert value == greedy
+        assert nonzero(dist) == nonzero(greedy_dist)
+
+    def test_pair_outside_the_terminals_is_refused(self):
+        w = Weight.uniform(P3, F(1, 2))
+        dist = connectivity_distribution(w, terminals=(0, 2))
+        assert dist.connection(0, 2) == F(1, 4)
+        with pytest.raises(ValueError, match="not a terminal"):
+            dist.probability(ConnectivitySpec.connected(0, 1))
+        with pytest.raises(ValueError, match="not a terminal"):
+            dist.connection(1, 2)
+        with pytest.raises(ValueError):
+            connectivity_distribution(w, terminals=(0, 3))
+
+    def test_width_and_states_follow_the_front(self):
+        # the bunkbed of a 13-vertex path: 26 vertices, but the sweep holds
+        # only the terminals and a rung or two of the ladder at a time
+        p13 = Graph(13, tuple((i, i + 1) for i in range(12)))
+        w = SymmetricWeight.uniform(bunkbed(p13), F(1, 3)).to_weight()
+        dist = connectivity_distribution(w, terminals=(0, 12), cap=38)
+        assert (dist.width, dist.states, len(dist.labels)) == (4, 10, 2)
+        full = connectivity_distribution(Weight.uniform(TRIANGLE, F(1, 2)))
+        assert (full.width, full.states, len(full.labels)) == (3, 5, 5)
 
 
 class TestConnectionProbability:

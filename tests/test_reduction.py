@@ -309,6 +309,30 @@ class TestTwoPointProbability:
                 a, b = rng.randrange(n2), rng.randrange(n2)
                 assert two_point_probability(g, mu, a, b).value == dist.connection(a, b)
 
+    @pytest.mark.parametrize("case", ["P13", "K4-chain-x3"])
+    def test_engine_equals_the_whole_bunkbed_kernel(self, case):
+        # the kernel over the whole bunkbed, cap raised past its edge count,
+        # against the engine's cut-vertex recursion over terminal leaves
+        if case == "P13":
+            base, a, b = Graph(13, tuple((i, i + 1) for i in range(12))), 0, 12
+        else:
+            k4 = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+            base = Graph(10, tuple((u + o, v + o) for o in (0, 3, 6) for u, v in k4))
+            a, b = 0, 9
+        bb = bunkbed(base)
+        rng = random.Random(29)
+        sw = SymmetricWeight(
+            bb,
+            tuple(F(2 * rng.randrange(32) + 1, 64) for _ in range(base.edge_count)),
+            tuple(F(2 * rng.randrange(32) + 1, 64) for _ in range(base.vertex_count)),
+        )
+        n = base.vertex_count
+        for y in (b, b + n):
+            whole = event_probability(
+                sw.to_weight(), ConnectivitySpec.connected(a, y), cap=bb.total.edge_count
+            )
+            assert two_point_probability(base, sw, a, y).value == whole.value
+
     def test_accepts_symmetric_and_plain_weights(self):
         bb = bunkbed(P3)
         sw = SymmetricWeight.uniform(bb, F(1, 3))
