@@ -22,7 +22,7 @@ from hashlib import sha256
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from .graphs import BunkbedGraph, Graph, bunkbed, cut_vertices, format_graph, glue, parse_graph, split_at, two_connected
+from .graphs import BunkbedGraph, Graph, bunkbed, format_graph, parse_graph, two_connected
 from .percolation import (
     DEFAULT_ENUMERATION_CAP,
     EnumerationCapError,
@@ -32,16 +32,11 @@ from .percolation import (
     parse_rational,
     parse_symmetric_weight_file,
 )
-from .reduction import collapse_side, two_point_probability
+from .reduction import two_point_probability
 
 
 class BoundExceededError(ValueError):
     """Raised when a family enumeration request exceeds its configured bound."""
-
-
-class ReductionMismatchError(RuntimeError):
-    """Raised when the collapse route and the direct route disagree; this
-    indicates a bug, never a property of the inputs."""
 
 
 @dataclass(frozen=True)
@@ -199,7 +194,6 @@ def bunkbed_delta(
     y: int,
     *,
     cap: int = DEFAULT_ENUMERATION_CAP,
-    threads: int = 1,
 ) -> BunkbedDelta:
     """Both layer probabilities for one pair, via the decomposition engine."""
     bb = w.bunkbed
@@ -208,12 +202,8 @@ def bunkbed_delta(
     for t in (x, y):
         if not 0 <= t < base.vertex_count:
             raise ValueError(f"vertex {t} out of range")
-    same = two_point_probability(
-        base, w, bb.minus_vertex(x), bb.minus_vertex(y), cap=cap, threads=threads
-    ).value
-    cross = two_point_probability(
-        base, w, bb.minus_vertex(x), bb.plus_vertex(y), cap=cap, threads=threads
-    ).value
+    same = two_point_probability(base, w, bb.minus_vertex(x), bb.minus_vertex(y), cap=cap).value
+    cross = two_point_probability(base, w, bb.minus_vertex(x), bb.plus_vertex(y), cap=cap).value
     return BunkbedDelta(
         base=base, weight=w, x=x, y=y,
         same_layer=same, cross_layer=cross, delta=same - cross,
@@ -227,7 +217,6 @@ def check_graph(
     pairs: Iterable[tuple[int, int]] | None = None,
     graph_id: str | None = None,
     cap: int = DEFAULT_ENUMERATION_CAP,
-    threads: int = 1,
 ) -> CheckReport:
     """Evaluate the bunkbed delta for every pair and every weight of the
     source.  Violations are collected, never discarded; per-pair cap errors
@@ -249,7 +238,7 @@ def check_graph(
         weights_checked += 1
         for x, y in pair_list:
             try:
-                d = bunkbed_delta(base, w, x, y, cap=cap, threads=threads)
+                d = bunkbed_delta(base, w, x, y, cap=cap)
             except EnumerationCapError as exc:
                 errors.append(f"pair ({x}, {y}) weight {wi}: {exc}")
                 continue
@@ -274,75 +263,6 @@ def check_graph(
         weight_source=source.describe(),
         elapsed=time.perf_counter() - t0,
     )
-
-
-def verify_gluing_closure(
-    a_graph: Graph,
-    a: int,
-    b_graph: Graph,
-    b: int,
-    source: WeightSource,
-    *,
-    cap: int = DEFAULT_ENUMERATION_CAP,
-    threads: int = 1,
-) -> CheckReport:
-    """Check the graph glued from the two inputs, and verify on every
-    sampled weight that same-side probabilities survive collapsing the
-    opposite side, exactly.
-
-    Raises ReductionMismatchError if the collapse route ever disagrees with
-    the direct computation.
-    """
-    glued, v = glue(a_graph, a, b_graph, b)
-    report = check_graph(
-        glued, source,
-        graph_id=f"glued(n={glued.vertex_count}, m={glued.edge_count})",
-        cap=cap, threads=threads,
-    )
-    if v not in cut_vertices(glued):
-        # one side is a single vertex; there is nothing to collapse
-        return report
-    comps = glued.components(skip=v)
-    na = a_graph.vertex_count
-    a_side = [i for i, c in enumerate(comps) if c[0] < na]
-    b_side = [i for i, c in enumerate(comps) if c[0] >= na]
-    f_bb = bunkbed(glued)
-    for w in source.iter_weights(f_bb):
-        mu = w.to_weight()
-        for side in (a_side, b_side):
-            if not side or len(side) == len(comps):
-                continue
-            split = split_at(glued, v, side)
-            collapsed = collapse_side(f_bb, mu, split, cap=cap, threads=threads)
-            kept = split.side_h
-            for xi in range(kept.vertex_count):
-                for yi in range(xi, kept.vertex_count):
-                    x = split.h_vertices[xi]
-                    y = split.h_vertices[yi]
-                    direct_same = two_point_probability(
-                        glued, mu, f_bb.minus_vertex(x), f_bb.minus_vertex(y),
-                        cap=cap, threads=threads,
-                    ).value
-                    direct_cross = two_point_probability(
-                        glued, mu, f_bb.minus_vertex(x), f_bb.plus_vertex(y),
-                        cap=cap, threads=threads,
-                    ).value
-                    nh = kept.vertex_count
-                    reduced_same = two_point_probability(
-                        kept, collapsed.reduced_weight, xi, yi,
-                        cap=cap, threads=threads,
-                    ).value
-                    reduced_cross = two_point_probability(
-                        kept, collapsed.reduced_weight, xi, yi + nh,
-                        cap=cap, threads=threads,
-                    ).value
-                    if (direct_same, direct_cross) != (reduced_same, reduced_cross):
-                        raise ReductionMismatchError(
-                            f"collapse route disagrees for pair ({x}, {y}): "
-                            f"direct ({direct_same}, {direct_cross}) vs "
-                            f"reduced ({reduced_same}, {reduced_cross})"
-                        )
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -473,14 +393,12 @@ def load_violation(path) -> BunkbedDelta:
 
 
 def recheck_violation(
-    path, *, cap: int = DEFAULT_ENUMERATION_CAP, threads: int = 1
+    path, *, cap: int = DEFAULT_ENUMERATION_CAP
 ) -> tuple[BunkbedDelta, BunkbedDelta]:
     """Load a persisted violation and recompute it; returns (recorded,
     recomputed).  Determinism demands the two agree exactly."""
     recorded = load_violation(path)
-    recomputed = bunkbed_delta(
-        recorded.base, recorded.weight, recorded.x, recorded.y, cap=cap, threads=threads
-    )
+    recomputed = bunkbed_delta(recorded.base, recorded.weight, recorded.x, recorded.y, cap=cap)
     return recorded, recomputed
 
 
@@ -491,7 +409,6 @@ def search_candidates(
     require_two_connected: bool = False,
     persist_dir=None,
     cap: int = DEFAULT_ENUMERATION_CAP,
-    threads: int = 1,
 ) -> Iterator[CheckReport]:
     """Stream check reports over a graph generator.
 
@@ -509,7 +426,7 @@ def search_candidates(
                 weight_source=source.describe(), elapsed=0.0,
             )
             continue
-        report = check_graph(g, source, graph_id=gid, cap=cap, threads=threads)
+        report = check_graph(g, source, graph_id=gid, cap=cap)
         if report.violations and persist_dir is not None:
             for d in report.violations:
                 save_violation(d, persist_dir)

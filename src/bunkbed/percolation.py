@@ -420,7 +420,6 @@ def connection_probability(
     y: int,
     *,
     cap: int = DEFAULT_ENUMERATION_CAP,
-    threads: int = 1,
     restriction=None,
 ) -> Fraction:
     """Probability that x and y end up in one open component; 1 when x == y."""
@@ -429,7 +428,7 @@ def connection_probability(
             raise ValueError(f"vertex {x} out of range")
         return ONE
     spec = ConnectivitySpec.connected(x, y, restriction=restriction)
-    return event_probability(w, spec, cap=cap, threads=threads).value
+    return event_probability(w, spec, cap=cap).value
 
 
 def sum_over_all_atoms(w: Weight, *, cap: int = DEFAULT_ENUMERATION_CAP) -> Fraction:

@@ -1,18 +1,20 @@
 """Cut-vertex reductions for bunkbed percolation.
 
-Two exact transforms drive everything here.  Collapsing replaces one side
-of a bunkbed, beyond a cut vertex v, by a single post-edge weight equal to
-the side's own v- to v+ connection probability; every connection
-probability between vertices of the kept side is preserved.  Crossing
-combines the two sides' connection probabilities into the whole-graph
-probability for a pair separated by v via a three-term
-inclusion-exclusion.  two_point_probability composes both recursively
-along the block structure.  What is left, a block with no usable cut
-vertex or a joint term of a cross, goes to the enumeration kernel with
-both layers of the queried base vertices as terminals, so it costs the
-partitions of a narrow sweep front rather than of the whole piece; the
-pair, cross-layer and joint queries on one piece share one cached
-terminal distribution.
+Collapsing replaces one side of a bunkbed, beyond a cut vertex v, by a
+single post-edge weight equal to the side's own v- to v+ connection
+probability; every connection probability between vertices of the kept
+side is preserved.  collapse_side and the three-term cross identity
+(cross_side_probability) are exposed as tested transforms.
+
+two_point_probability runs one recursion, _solve, over pieces with at most
+two port base vertices.  Each piece returns the exact distribution over
+partitions of both layers of its ports, and three steps produce it:
+collapse (a side holding no port becomes the kept side's post value),
+join (at a cut vertex v separating the ports, the tables of the two sides,
+with v among the ports of each, are combined by a union over the six
+slots of the two ports and v), and leaf (a piece with no usable cut vertex
+is one kernel call with both layers of its ports as terminals, so it costs
+the partitions of a narrow sweep front rather than of the whole piece).
 """
 
 from __future__ import annotations
@@ -91,7 +93,7 @@ def bunkbed_split(split: SplitAtCutVertex) -> BunkbedSplit:
         h0_edges.append(e)
         h0_edge_to_h.append(i)
     h0 = Graph(h.total.vertex_count, tuple(h0_edges), h.total.labels)
-    bs = BunkbedSplit(
+    return BunkbedSplit(
         split=split,
         f=f,
         g=g,
@@ -101,11 +103,6 @@ def bunkbed_split(split: SplitAtCutVertex) -> BunkbedSplit:
         h_edge_to_whole=h_map,
         h0_edge_to_h=tuple(h0_edge_to_h),
     )
-    whole_from_h0 = {h_map[e] for e in h0_edge_to_h}
-    whole_from_g = set(g_map)
-    assert not (whole_from_h0 & whole_from_g)
-    assert len(whole_from_h0) + len(whole_from_g) == f.total.edge_count
-    return bs
 
 
 def _side_values(base_values, base: Graph, side: Graph, side_bb: BunkbedGraph, vertex_emb, edge_emb):
@@ -155,14 +152,12 @@ def collapse_side(
     split: SplitAtCutVertex,
     *,
     cap: int = DEFAULT_ENUMERATION_CAP,
-    threads: int = 1,
 ) -> CollapsedSide:
     """Collapse the G side of the split, preserving all H-side connection
     probabilities.  Works for arbitrary (not necessarily symmetric) weights.
 
     The collapsed post value is computed by exhaustive enumeration of the G
-    side's bunkbed, so that side must fit under the cap.  `threads` is
-    accepted for compatibility; the kernel runs in one process.
+    side's bunkbed, so that side must fit under the cap.
     """
     if split.whole != f.base:
         raise ValueError("split does not belong to the given bunkbed's base graph")
@@ -246,6 +241,13 @@ def cross_side_probability(terms: CrossSideTerms) -> Fraction:
 # ---------------------------------------------------------------------------
 # Recursive decomposition engine
 # ---------------------------------------------------------------------------
+#
+# A piece is a connected base graph, a weight on its bunkbed and at most two
+# distinct port base vertices.  Solving it gives a table: the exact
+# distribution over partitions of the port slots, slot 2i the lower and
+# slot 2i + 1 the upper copy of port i, each partition keyed by the first
+# slot in the block of every slot, as integer numerators over one
+# denominator.
 
 
 class _Stats:
@@ -255,84 +257,74 @@ class _Stats:
         self.atoms = 0
 
 
-# an entry is a distribution over at most four terminals (two base vertices,
-# both layers), so at most 15 partitions: a deep cache stays small
+# an entry is a table over at most four slots, so at most 15 partitions: a
+# deep cache stays small
 @lru_cache(maxsize=256)
-def _cached_distribution(graph: Graph, values: tuple, restriction, terminals: tuple, cap: int):
-    """Enumeration results for one (graph, weight, terminal set), shared
-    across the many pair and joint queries the engine makes against the
-    same piece."""
-    return connectivity_distribution(
-        Weight(graph, values), restriction=restriction, cap=cap, terminals=terminals
-    )
+def _cached_distribution(graph: Graph, values: tuple, terminals: tuple, cap: int):
+    """The kernel's table for one (graph, weight, terminals), the terminals
+    listed in slot order; shared by every query that meets the same piece."""
+    dist = connectivity_distribution(Weight(graph, values), cap=cap, terminals=terminals)
+    index = {t: k for k, t in enumerate(dist.terminals)}
+    table = {}
+    for lab, num in zip(dist.labels, dist.numerators):
+        blocks = [lab[index[t]] for t in terminals]
+        table[tuple(map(blocks.index, blocks))] = num
+    return table, dist.denominator
 
 
-def _leaf_probability(total, values, spec, stats, cap, context):
-    """One enumeration leaf of the engine: a pair or joint event on a piece
-    with no further decomposition.  The terminals are both layers of every
-    base vertex the spec names, so the same-layer, cross-layer and joint
-    queries on one piece share one cached distribution."""
-    m = total.edge_count if spec.restriction is None else len(spec.restriction)
-    n = total.vertex_count // 2
-    base = {x % n for pair in spec.positive + spec.negative for x in pair}
-    terminals = tuple(sorted(base | {x + n for x in base}))
-    try:
-        dist = _cached_distribution(total, tuple(values), spec.restriction, terminals, cap)
-    except EnumerationCapError as exc:
-        raise EnumerationCapError(exc.needed, exc.cap, context=context) from exc
-    stats.atoms += 1 << m
-    return dist.probability(spec)
+def _join(g_table, h_table):
+    """Glue G's table over ports (x, v) to H's over (v, y) at v: the union of
+    each pair of partitions over the six slots x-, x+, v-, v+, y-, y+, read
+    off on x and y.  The two sides share no edge, so the numerators
+    multiply."""
+    g_nums, g_den = g_table
+    h_nums, h_den = h_table
+    out: dict[tuple[int, ...], int] = {}
+    for kg, ng in g_nums.items():
+        for kh, nh in h_nums.items():
+            root = list(kg) + [4, 5]  # G's key is already a forest
+            for s, t in enumerate(kh, 2):
+                a, b = root[s], root[t + 2]
+                while root[a] != a:
+                    a = root[a]
+                while root[b] != b:
+                    b = root[b]
+                if a != b:
+                    root[max(a, b)] = min(a, b)
+            ends = []
+            for s in (0, 1, 4, 5):
+                while root[s] != s:
+                    s = root[s]
+                ends.append(s)
+            key = tuple(map(ends.index, ends))
+            out[key] = out.get(key, 0) + ng * nh
+    return out, g_den * h_den
 
 
 def _edges_within(base: Graph, vertex_set: set[int]) -> int:
     return sum(1 for u, v in base.edges if u in vertex_set and v in vertex_set)
 
 
-def _solve(base, values, a, b, origin, stats, cap) -> Fraction:
-    """Exact a~b connection probability in bunkbed(base) under `values`.
+def _solve(base, values, ports, origin, stats, cap):
+    """The table of bunkbed(base) under `values` for `ports`; base is
+    connected.
 
     `origin` maps current base vertices to vertices of the original query
     graph, for error reporting only.
     """
-    if a == b:
-        return ONE
-    n = base.vertex_count
-    abar, layer_a = a % n, a // n
-    bbar, layer_b = b % n, b // n
-
-    comps = base.components()
-    if len(comps) > 1:
-        comp_a = next(c for c in comps if abar in c)
-        if bbar not in comp_a:
-            return ZERO
-        sub, vemb, eemb = base.induced(comp_a)
-        sub_bb = bunkbed(sub)
-        sub_vals = _side_values(values, base, sub, sub_bb, vemb, eemb)
-        pos = {w: i for i, w in enumerate(vemb)}
-        na = len(comp_a)
-        return _solve(
-            sub,
-            sub_vals,
-            pos[abar] + layer_a * na,
-            pos[bbar] + layer_b * na,
-            tuple(origin[w] for w in vemb),
-            stats,
-            cap,
-        )
-
     cuts = sorted(cut_vertices(base))
 
     # Collapse first: strip every component hanging off a cut vertex away
-    # from the query pair, preferring the collapse that removes most edges.
+    # from the ports, preferring the collapse that removes most edges.
     best = None
     for v in cuts:
         comps_v = base.components(skip=v)
-        chosen = [i for i, c in enumerate(comps_v) if abar not in c and bbar not in c]
+        chosen = [i for i, c in enumerate(comps_v) if not any(p in c for p in ports)]
         if not chosen:
             continue
         if len(chosen) == len(comps_v):
-            # both query vertices project onto v itself; keep the cheapest
-            # component on the query side so the split stays proper
+            # the only port is v itself; keep the cheapest component on the
+            # ports' side so the split stays proper
             cheapest = min(
                 chosen,
                 key=lambda i: 2 * _edges_within(base, set(comps_v[i]) | {v}) + len(comps_v[i]),
@@ -345,106 +337,62 @@ def _solve(base, values, a, b, origin, stats, cap) -> Fraction:
     if best is not None:
         _, v, chosen = best
         split = split_at(base, v, chosen)
-        g_bb = bunkbed(split.side_g)
-        g_vals = _side_values(values, base, split.side_g, g_bb, split.g_vertices, split.g_edges)
-        ng = split.side_g.vertex_count
-        origin_g = tuple(origin[w] for w in split.g_vertices)
-        post_value = _solve(
-            split.side_g, g_vals, split.cut_in_g, split.cut_in_g + ng,
-            origin_g, stats, cap,
+        g_vals = _side_values(
+            values, base, split.side_g, bunkbed(split.side_g), split.g_vertices, split.g_edges
+        )
+        nums, den = _solve(
+            split.side_g, g_vals, (split.cut_in_g,),
+            tuple(origin[w] for w in split.g_vertices), stats, cap,
         )
         h_bb = bunkbed(split.side_h)
         h_vals = _side_values(values, base, split.side_h, h_bb, split.h_vertices, split.h_edges)
-        h_vals[h_bb.post_edge(split.cut_in_h)] = post_value
-        nh = split.side_h.vertex_count
-        hpos = split.h_vertex_index
+        h_vals[h_bb.post_edge(split.cut_in_h)] = Fraction(nums.get((0, 0), 0), den)
         return _solve(
-            split.side_h, h_vals,
-            hpos[abar] + layer_a * nh,
-            hpos[bbar] + layer_b * nh,
-            tuple(origin[w] for w in split.h_vertices),
-            stats, cap,
+            split.side_h, h_vals, tuple(split.h_vertex_index[p] for p in ports),
+            tuple(origin[w] for w in split.h_vertices), stats, cap,
         )
 
-    # Cross at a cut vertex separating the projections, choosing the one
-    # whose larger side enumeration (the joint terms) is smallest.
+    # Every cut vertex left separates the two ports.  Cross at the one whose
+    # larger side is smallest; H's post at v is closed, since G owns it.
     best_cross = None
     for v in cuts:
-        if v == abar or v == bbar:
-            continue
         comps_v = base.components(skip=v)
-        ia = next(i for i, c in enumerate(comps_v) if abar in c)
-        ib = next(i for i, c in enumerate(comps_v) if bbar in c)
-        if ia == ib:
-            continue
-        eg = _edges_within(base, set(comps_v[ia]) | {v})
-        eh = _edges_within(base, set(comps_v[ib]) | {v})
-        m_g = 2 * eg + len(comps_v[ia]) + 1
-        m_h0 = 2 * eh + len(comps_v[ib])
-        cost = max(m_g, m_h0)
-        if best_cross is None or cost < best_cross[0]:
-            best_cross = (cost, v, ia)
+        ia = 0 if ports[0] in comps_v[0] else 1
+        eg = 2 * _edges_within(base, set(comps_v[ia]) | {v}) + len(comps_v[ia]) + 1
+        eh = 2 * _edges_within(base, set(comps_v[1 - ia]) | {v}) + len(comps_v[1 - ia])
+        if best_cross is None or max(eg, eh) < best_cross[0]:
+            best_cross = (max(eg, eh), v, ia)
     if best_cross is not None:
         _, v, ia = best_cross
         split = split_at(base, v, [ia])
-        g_bb = bunkbed(split.side_g)
-        g_vals = _side_values(values, base, split.side_g, g_bb, split.g_vertices, split.g_edges)
-        ng = split.side_g.vertex_count
-        a_g = split.g_vertex_index[abar] + layer_a * ng
-        vg_minus = split.cut_in_g
-        vg_plus = split.cut_in_g + ng
-        origin_g = tuple(origin[w] for w in split.g_vertices)
-        g_minus = _solve(split.side_g, g_vals, a_g, vg_minus, origin_g, stats, cap)
-        g_plus = _solve(split.side_g, g_vals, a_g, vg_plus, origin_g, stats, cap)
-        if g_minus == ZERO or g_plus == ZERO:
-            g_both = ZERO
-        else:
-            g_both = _joint_probability(
-                g_bb.total, g_vals, ((a_g, vg_minus), (a_g, vg_plus)),
-                None, origin_g, stats, cap,
-            )
-
+        g_vals = _side_values(
+            values, base, split.side_g, bunkbed(split.side_g), split.g_vertices, split.g_edges
+        )
+        g_table = _solve(
+            split.side_g, g_vals, (split.g_vertex_index[ports[0]], split.cut_in_g),
+            tuple(origin[w] for w in split.g_vertices), stats, cap,
+        )
         h_bb = bunkbed(split.side_h)
         h_vals = _side_values(values, base, split.side_h, h_bb, split.h_vertices, split.h_edges)
-        nh = split.side_h.vertex_count
-        b_h = split.h_vertex_index[bbar] + layer_b * nh
-        vh_minus = split.cut_in_h
-        vh_plus = split.cut_in_h + nh
-        origin_h = tuple(origin[w] for w in split.h_vertices)
-        zero_vals = list(h_vals)
-        zero_vals[h_bb.post_edge(split.cut_in_h)] = ZERO
-        h0_minus = _solve(split.side_h, zero_vals, vh_minus, b_h, origin_h, stats, cap)
-        h0_plus = _solve(split.side_h, zero_vals, vh_plus, b_h, origin_h, stats, cap)
-        if h0_minus == ZERO or h0_plus == ZERO:
-            h0_both = ZERO
-        else:
-            mask = frozenset(range(h_bb.total.edge_count)) - {h_bb.post_edge(split.cut_in_h)}
-            h0_both = _joint_probability(
-                h_bb.total, h_vals, ((vh_minus, b_h), (vh_plus, b_h)),
-                mask, origin_h, stats, cap,
-            )
-        terms = CrossSideTerms(
-            g_minus=g_minus, g_plus=g_plus, g_both=g_both,
-            h0_minus=h0_minus, h0_plus=h0_plus, h0_both=h0_both,
+        h_vals[h_bb.post_edge(split.cut_in_h)] = ZERO
+        h_table = _solve(
+            split.side_h, h_vals, (split.cut_in_h, split.h_vertex_index[ports[1]]),
+            tuple(origin[w] for w in split.h_vertices), stats, cap,
         )
-        return cross_side_probability(terms)
+        return _join(g_table, h_table)
 
-    # No usable cut vertex: exhaustive enumeration of this block's bunkbed.
-    bb = bunkbed(base)
-    return _leaf_probability(
-        bb.total, values, ConnectivitySpec.connected(a, b), stats, cap,
-        context=f"block on base vertices {sorted(origin)}",
-    )
-
-
-def _joint_probability(total, values, pairs, restriction, origin, stats, cap):
-    """Joint connectivity events are not decomposed further; they go to the
-    generic enumeration engine."""
-    spec = ConnectivitySpec(positive=tuple(pairs), restriction=restriction)
-    return _leaf_probability(
-        total, values, spec, stats, cap,
-        context=f"joint term on base vertices {sorted(origin)}",
-    )
+    # No usable cut vertex: one kernel call on this block's bunkbed.
+    total = bunkbed(base).total
+    n = base.vertex_count
+    terminals = tuple(t for p in ports for t in (p, p + n))
+    try:
+        table = _cached_distribution(total, tuple(values), terminals, cap)
+    except EnumerationCapError as exc:
+        raise EnumerationCapError(
+            exc.needed, exc.cap, context=f"block on base vertices {sorted(origin)}"
+        ) from exc
+    stats.atoms += 1 << total.edge_count
+    return table
 
 
 def two_point_probability(
@@ -458,12 +406,14 @@ def two_point_probability(
 ) -> ProbabilityReport:
     """Exact connection probability between two bunkbed vertices of base.
 
-    Recursively collapses sides away from the pair, crosses separating cut
-    vertices by inclusion-exclusion (joint terms via the kernel's
-    terminal distributions), and falls back to the kernel on pieces with no
-    usable cut vertex.  Accepts an arbitrary weight on bunkbed(base).total
-    or a SymmetricWeight; collapsed weights are generally not symmetric, so
-    all internal work is on arbitrary weights.  `threads` is accepted for
+    Keeps the component holding both base vertices (0 if they lie in two),
+    then solves it for the table over both layers of the pair: collapse
+    strips every side away from the ports into a post value, a cut vertex
+    separating the ports joins the tables of its two sides, and a piece
+    with no usable cut vertex is one kernel call.  P(a ~ b) is read off that
+    table.  Accepts an arbitrary weight on bunkbed(base).total or a
+    SymmetricWeight; collapsed weights are generally not symmetric, so all
+    internal work is on arbitrary weights.  `threads` is accepted for
     compatibility; the kernel runs in one process.
     """
     t0 = time.perf_counter()
@@ -476,12 +426,26 @@ def two_point_probability(
         if (weight.graph.vertex_count, weight.graph.edges) != (bb.total.vertex_count, bb.total.edges):
             raise ValueError("weight does not live on the bunkbed of the given base graph")
         values = list(weight.values)
-    n2 = 2 * base.vertex_count
+    n = base.vertex_count
     for t in (a, b):
-        if not 0 <= t < n2:
+        if not 0 <= t < 2 * n:
             raise ValueError(f"bunkbed vertex {t} out of range")
     stats = _Stats()
-    value = _solve(base, values, a, b, tuple(range(base.vertex_count)), stats, cap)
+    abar, bbar = a % n, b % n
+    comp = next(c for c in base.components() if abar in c)
+    if a == b:
+        value = ONE
+    elif bbar not in comp:
+        value = ZERO
+    else:
+        if len(comp) < n:
+            sub, vemb, eemb = base.induced(comp)
+            values = _side_values(values, base, sub, bunkbed(sub), vemb, eemb)
+            base, abar, bbar = sub, comp.index(abar), comp.index(bbar)
+        ports = (abar,) if abar == bbar else (abar, bbar)
+        nums, den = _solve(base, values, ports, tuple(comp), stats, cap)
+        sa, sb = a // n, 2 * (len(ports) - 1) + b // n
+        value = Fraction(sum(num for key, num in nums.items() if key[sa] == key[sb]), den)
     return ProbabilityReport(
         value=value,
         method="decomposition",

@@ -16,7 +16,6 @@ from bunkbed.checker import (
     save_violation,
     search_candidates,
     tree_canonical_form,
-    verify_gluing_closure,
 )
 from bunkbed.graphs import Graph, bunkbed, glue
 from bunkbed.percolation import SymmetricWeight, connection_probability
@@ -193,22 +192,6 @@ class TestCheckGraph:
 
 
 class TestVerifyGluingClosure:
-    def test_two_edges(self):
-        report = verify_gluing_closure(K2, 1, K2, 0, WeightSource.grid([F(1, 4), F(3, 4)]))
-        assert not report.violations
-
-    def test_triangles_random_weights(self):
-        report = verify_gluing_closure(TRIANGLE, 0, TRIANGLE, 1, WeightSource.random(10, seed=17))
-        assert not report.violations
-        assert report.graph.vertex_count == 5
-        assert report.graph.edge_count == 6
-
-    def test_isolated_vertex_glue_is_well_defined(self):
-        single = Graph(1, ())
-        report = verify_gluing_closure(single, 0, K2, 0, WeightSource.grid([F(1, 2)]))
-        assert not report.violations
-        assert report.graph.vertex_count == 2
-
     def test_bowtie_full_two_value_grid_nonnegative(self):
         # the glued pair of triangles over every {1/4, 3/4} symmetric weight,
         # all 2^11 grid points evaluated exactly in closed form, plus a
@@ -295,8 +278,8 @@ class TestSearch:
 
         real = checker_mod.bunkbed_delta
 
-        def fake(base, w, x, y, *, cap=30, threads=1):
-            d = real(base, w, x, y, cap=cap, threads=threads)
+        def fake(base, w, x, y, *, cap=30):
+            d = real(base, w, x, y, cap=cap)
             if (x, y) == (0, 1):
                 return BunkbedDelta(
                     base=d.base, weight=d.weight, x=x, y=y,

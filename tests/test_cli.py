@@ -86,6 +86,18 @@ class TestProb:
         g, w = p3_files
         assert main(["prob", g, w, "0-", "2-", "--bunkbed", "--method", "brute", "--cap", "3"]) == 3
 
+    def test_k4_chain_x4_answers_at_default_cap(self, tmp_path, capsys):
+        # the bunkbed has 61 edges, but every leaf of the engine is one K4
+        # block's 16-edge bunkbed
+        k4 = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+        chain = Graph(13, tuple((u + o, v + o) for o in (0, 3, 6, 9) for u, v in k4))
+        g = tmp_path / "chain.txt"
+        g.write_text(format_graph(chain))
+        w = tmp_path / "w.txt"
+        w.write_text(HALF)
+        assert main(["prob", str(g), str(w), "0-", "12+", "--bunkbed"]) == 0
+        assert main(["prob", str(g), str(w), "0-", "12+", "--bunkbed", "--method", "brute"]) == 3
+
     def test_env_cap(self, p3_files, monkeypatch):
         g, w = p3_files
         monkeypatch.setenv("BUNKBED_CAP", "3")

@@ -73,6 +73,8 @@ class TestBunkbedSplit:
             for s in all_splits(g):
                 bs = bunkbed_split(s)
                 assert bs.f.total.edge_count == bs.h0.edge_count + bs.g.total.edge_count
+                h0_images = {bs.h_edge_to_whole[e] for e in bs.h0_edge_to_h}
+                assert h0_images.isdisjoint(bs.g_edge_to_whole)
 
 
 class TestCollapseSide:
@@ -309,10 +311,13 @@ class TestTwoPointProbability:
                 a, b = rng.randrange(n2), rng.randrange(n2)
                 assert two_point_probability(g, mu, a, b).value == dist.connection(a, b)
 
-    @pytest.mark.parametrize("case", ["P13", "K4-chain-x3"])
+    @pytest.mark.parametrize("case", ["P13", "K4-chain-x3", "K4-chain-x3-cap16"])
     def test_engine_equals_the_whole_bunkbed_kernel(self, case):
         # the kernel over the whole bunkbed, cap raised past its edge count,
-        # against the engine's cut-vertex recursion over terminal leaves
+        # against the engine's cut-vertex recursion over terminal leaves; at
+        # cap 16 every leaf is one K4 block's 16-edge bunkbed, so a cross
+        # that enumerated two blocks at once would raise
+        cap = 16 if case.endswith("cap16") else 30
         if case == "P13":
             base, a, b = Graph(13, tuple((i, i + 1) for i in range(12))), 0, 12
         else:
@@ -331,7 +336,7 @@ class TestTwoPointProbability:
             whole = event_probability(
                 sw.to_weight(), ConnectivitySpec.connected(a, y), cap=bb.total.edge_count
             )
-            assert two_point_probability(base, sw, a, y).value == whole.value
+            assert two_point_probability(base, sw, a, y, cap=cap).value == whole.value
 
     def test_accepts_symmetric_and_plain_weights(self):
         bb = bunkbed(P3)
