@@ -10,14 +10,18 @@ product of the per-edge denominators.
 One kernel, _partition_numerators, does every enumeration: it walks the
 edges once, keeping one integer numerator per weight for each partition of
 the live vertices into open components, so atoms that leave the same
-partition share all later work.  The walk follows a narrow-front order and
-forgets each non-terminal vertex right after its last edge, so the table
-holds partitions of the sweep front plus the terminals, not of every
-vertex; what comes out is the exact distribution over partitions of the
-terminal set.  Reordering only permutes the factors of integer products,
-so every result is the same Fraction whatever the order.  Edges outside a
-spec's restriction mask never enter the enumeration; their factors sum to
-1 and are marginalized analytically.
+partition share all later work.  The walk forgets each non-terminal vertex
+right after its last edge, so the table holds partitions of the sweep front
+plus the terminals, not of every vertex; what comes out is the exact
+distribution over partitions of the terminal set.  The order is the
+narrowest of a few candidates (greedy, breadth-first and, on a bunkbed's
+layout, both copies of each base vertex together), judged by the width of
+its front before any walk.  Reordering only permutes the factors of
+integer products, so every result is the same Fraction whatever the order.
+A level of the table past STATE_CAP partitions raises EnumerationCapError,
+so a walk too wide for memory stops instead of exhausting it.  Edges
+outside a spec's restriction mask never enter the enumeration; their
+factors sum to 1 and are marginalized analytically.
 """
 
 from __future__ import annotations
@@ -33,6 +37,10 @@ from .graphs import BunkbedGraph, Graph
 
 DEFAULT_ENUMERATION_CAP = 30
 
+# the most partitions one level of the kernel's table may hold; a level at
+# most doubles the one before it, so this bounds the kernel's memory
+STATE_CAP = 1 << 21
+
 # every enumeration runs in one process: no atom count reaches a pool; the
 # name stays because bench/tracer.py reads it to count pool calls
 PARALLEL_MIN_ATOMS = float("inf")
@@ -42,15 +50,17 @@ ONE = Fraction(1)
 
 
 class EnumerationCapError(RuntimeError):
-    """Raised when an exact enumeration would exceed the configured cap."""
+    """Raised when an exact enumeration would exceed its cap: the configured
+    number of edges, or STATE_CAP partitions in one level of the kernel."""
 
-    def __init__(self, needed: int, cap: int, context: str = ""):
+    def __init__(self, needed: int, cap: int, context: str = "", unit: str = "edges"):
         self.needed = needed
         self.cap = cap
         self.context = context
+        self.unit = unit
         where = f" ({context})" if context else ""
         super().__init__(
-            f"enumeration over {needed} edges exceeds the cap of {cap}{where}"
+            f"enumeration over {needed} {unit} exceeds the cap of {cap}{where}"
         )
 
 
@@ -201,41 +211,113 @@ class _Schedule(NamedTuple):
 
     order lists positions into the enumerated edges; forget[k] holds the
     non-terminal vertices whose last edge is the k-th one walked; width is
-    the most vertices live at once (met by a walked edge, not yet forgotten).
+    the most vertices live at once (met by a walked edge, not yet forgotten)
+    and live the number of live vertices summed over all steps.
     """
 
     order: tuple[int, ...]
     forget: tuple[tuple[int, ...], ...]
     width: int
+    live: int
 
 
 @lru_cache(maxsize=256)
 def _edge_schedule(
     n: int, edges: tuple[tuple[int, int], ...], terminals: tuple[int, ...]
 ) -> _Schedule:
-    """A narrow-front walk: start at a terminal, then place, each time, the
-    vertex with the most edges to placed ones (ties: lower degree, then
-    lower index), walking its edges to them as it is placed."""
+    """The cheapest of the candidate orders: the narrowest front first, then
+    the fewest live vertices summed over all steps.  A tie keeps the earlier
+    candidate, so greedy stays wherever it is already as narrow."""
+    return min(
+        (_walk(edges, terminals, order) for order in _candidate_orders(n, edges, terminals)),
+        key=lambda s: (s.width, s.live),
+    )
+
+
+def _candidate_orders(
+    n: int, edges: Sequence[tuple[int, int]], terminals: tuple[int, ...]
+) -> list[list[int]]:
+    """Edge orders that place the vertices one at a time, each walking its
+    edges to placed ones as it is placed.  All start at the smallest terminal
+    with an edge:
+
+    1. greedy: place, each time, the vertex with the most edges to placed
+       ones (ties: lower degree, then lower index);
+    2. breadth-first, on into every further component;
+    3. only for the layout graphs.bunkbed produces (2h vertices, an edge
+       (x, x + h) for every x < h): the same greedy over base vertices,
+       placing both copies of each base vertex together, so that a cycle is
+       swept as a ladder, not one whole layer before the other.
+    """
     adjacency: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for k, (u, v) in enumerate(edges):
         adjacency[u].append((v, k))
         adjacency[v].append((u, k))
-    links = [0] * n  # edges to placed vertices
-    unplaced = {x for x in range(n) if adjacency[x]}
-    start = min((t for t in terminals if t in unplaced), default=None)
-    order: list[int] = []
+    start = min((t for t in terminals if adjacency[t]), default=None)
+    neighbours = [[y for y, _ in a] for a in adjacency]
+    greedy = _greedy(neighbours, {x for x in range(n) if adjacency[x]}, start)
+    orders = [
+        _placed_edges(adjacency, greedy),
+        _placed_edges(adjacency, _breadth_first(neighbours, start)),
+    ]
+    h = n // 2
+    if n % 2 == 0 and {(x, x + h) for x in range(h)} <= set(edges):
+        base = [[y % h for y in neighbours[x] + neighbours[x + h] if y % h != x] for x in range(h)]
+        paired = _greedy(base, set(range(h)), None if start is None else start % h)
+        orders.append(_placed_edges(adjacency, [z for x in paired for z in (x, x + h)]))
+    return orders
+
+
+def _greedy(neighbours: list[list[int]], unplaced: set[int], start: int | None) -> list[int]:
+    """Place `start`, then, each time, the unplaced vertex with the most edges
+    to placed ones (ties: lower degree, then lower index)."""
+    links = [0] * len(neighbours)  # edges to placed vertices
+    order = []
     while unplaced:
         x = start if start is not None else min(
-            unplaced, key=lambda y: (-links[y], len(adjacency[y]), y)
+            unplaced, key=lambda y: (-links[y], len(neighbours[y]), y)
         )
         start = None
         unplaced.discard(x)
-        for y, k in sorted(adjacency[x], key=lambda a: a[1]):
+        order.append(x)
+        for y in neighbours[x]:
             if y in unplaced:
                 links[y] += 1
-            else:
-                order.append(k)
-    return _walk(edges, terminals, order)
+    return order
+
+
+def _breadth_first(neighbours: list[list[int]], start: int | None) -> list[int]:
+    """Breadth-first from `start`, then from the smallest vertex with an edge
+    not yet reached, until every vertex with an edge is placed."""
+    roots = [x for x in range(len(neighbours)) if neighbours[x]]
+    if start is not None:
+        roots.insert(0, start)
+    order: list[int] = []
+    seen = set()
+    i = 0
+    for root in roots:
+        if root in seen:
+            continue
+        seen.add(root)
+        order.append(root)
+        while i < len(order):
+            for y in neighbours[order[i]]:
+                if y not in seen:
+                    seen.add(y)
+                    order.append(y)
+            i += 1
+    return order
+
+
+def _placed_edges(adjacency: list[list[tuple[int, int]]], vertices: list[int]) -> list[int]:
+    """The edge order that walks each vertex's edges to placed ones, by
+    index, as the vertex is placed."""
+    placed = set()
+    order = []
+    for x in vertices:
+        order.extend(k for y, k in adjacency[x] if y in placed)
+        placed.add(x)
+    return order
 
 
 def _walk(
@@ -251,7 +333,7 @@ def _walk(
     for x, step in last.items():
         if x not in keep:
             forget[step].append(x)
-    width = live = 0
+    width = live = total = 0
     met = set()
     for step, k in enumerate(order):
         for x in edges[k]:
@@ -259,8 +341,9 @@ def _walk(
                 met.add(x)
                 live += 1
         width = max(width, live)
+        total += live
         live -= len(forget[step])
-    return _Schedule(tuple(order), tuple(map(tuple, forget)), width)
+    return _Schedule(tuple(order), tuple(map(tuple, forget)), width, total)
 
 
 def _partition_numerators(
@@ -278,7 +361,8 @@ def _partition_numerators(
     of the m `edges`; factors[i] holds the open and the closed numerator of
     edge i under each of `count` weights.  Returns the partitions, each as
     the smallest terminal of every terminal's component, one column of
-    numerators per weight, and the peak number of table entries.
+    numerators per weight, and the peak number of table entries.  Raises
+    EnumerationCapError once a level's table passes STATE_CAP entries.
 
     The edges are walked in the schedule's order, keeping one entry per
     partition of the live vertices: all atoms whose edges so far leave the
@@ -321,6 +405,8 @@ def _partition_numerators(
                 old = get(key)
                 nxt[key] = vals if old is None else tuple(map(add, old, vals))
         states = max(states, len(nxt))
+        if states > STATE_CAP:
+            raise EnumerationCapError(states, STATE_CAP, unit="states")
         if dropped:
             table = {}
             get = table.get

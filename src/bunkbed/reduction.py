@@ -175,7 +175,7 @@ def collapse_side(
         ).value
     except EnumerationCapError as exc:
         raise EnumerationCapError(
-            exc.needed, exc.cap, context="collapsed side enumeration"
+            exc.needed, exc.cap, context="collapsed side enumeration", unit=exc.unit
         ) from exc
     h_vals = _side_values(mu.values, f.base, split.side_h, bs.h, split.h_vertices, split.h_edges)
     h_vals[bs.h.post_edge(split.cut_in_h)] = post_value
@@ -389,7 +389,8 @@ def _solve(base, values, ports, origin, stats, cap):
         table = _cached_distribution(total, tuple(values), terminals, cap)
     except EnumerationCapError as exc:
         raise EnumerationCapError(
-            exc.needed, exc.cap, context=f"block on base vertices {sorted(origin)}"
+            exc.needed, exc.cap,
+            context=f"block on base vertices {sorted(origin)}", unit=exc.unit,
         ) from exc
     stats.atoms += 1 << total.edge_count
     return table

@@ -9,6 +9,7 @@ import pytest
 import bunkbed
 from bunkbed.cli import main
 from bunkbed.graphs import Graph, format_graph, parse_graph
+from bunkbed import percolation
 from bunkbed.percolation import parse_weight_file
 
 K2_TEXT = "vertices 2\nedge 0 1\n"
@@ -97,6 +98,17 @@ class TestProb:
         w.write_text(HALF)
         assert main(["prob", str(g), str(w), "0-", "12+", "--bunkbed"]) == 0
         assert main(["prob", str(g), str(w), "0-", "12+", "--bunkbed", "--method", "brute"]) == 3
+
+    def test_state_cap_exit_3(self, tmp_path, monkeypatch, capsys):
+        # a kernel table past STATE_CAP ends in exit 3, under either method
+        g = tmp_path / "c6.txt"
+        g.write_text(format_graph(Graph(6, tuple((i, (i + 1) % 6) for i in range(6)))))
+        w = tmp_path / "w.txt"
+        w.write_text(HALF)
+        monkeypatch.setattr(percolation, "STATE_CAP", 20)
+        for method in ("brute", "auto"):
+            assert main(["prob", str(g), str(w), "0-", "3+", "--bunkbed", "--method", method]) == 3
+            assert "states exceeds the cap of 20" in capsys.readouterr().err
 
     def test_env_cap(self, p3_files, monkeypatch):
         g, w = p3_files

@@ -35,6 +35,10 @@ TRIANGLE = Graph(3, ((0, 1), (1, 2), (0, 2)))
 K2 = Graph(2, ((0, 1),))
 
 
+def cycle(n):
+    return Graph(n, tuple((i, (i + 1) % n) for i in range(n)))
+
+
 def random_graph(rng, n, p=0.5):
     edges = tuple((i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p)
     return Graph(n, edges)
@@ -164,6 +168,18 @@ class TestEventProbability:
         w = Weight.uniform(g, F(1, 2))
         with pytest.raises(EnumerationCapError):
             event_probability(w, ConnectivitySpec.connected(0, 1), cap=20)
+
+    def test_state_cap(self, monkeypatch):
+        # a level of the kernel's table may hold STATE_CAP entries, not one more
+        w = SymmetricWeight.uniform(bunkbed(cycle(6)), F(1, 3)).to_weight()
+        spec = ConnectivitySpec.connected(0, 9)
+        peak = connectivity_distribution(w, terminals=(0, 9)).states
+        monkeypatch.setattr(percolation, "STATE_CAP", peak)
+        assert event_probability(w, spec).value == naive_event_probability(w, ((0, 9),), ())
+        monkeypatch.setattr(percolation, "STATE_CAP", peak - 1)
+        message = f"over {peak} states exceeds the cap of {peak - 1}"
+        with pytest.raises(EnumerationCapError, match=message):
+            event_probability(w, spec)
 
 
 class TestKernelAgainstOracle:
@@ -321,6 +337,44 @@ class TestTerminalDistributions:
         assert value == greedy
         assert nonzero(dist) == nonzero(greedy_dist)
 
+    def test_every_candidate_order_walks_each_edge_once(self):
+        # random graphs with isolated vertices, several components and
+        # restriction masks; bunkbed totals whole (the layer-paired order is
+        # a candidate) and with one post masked out (it is not)
+        rng = random.Random(103)
+        seen = set()
+        cases = []
+        for _ in range(80):
+            g = random_graph(rng, rng.randint(1, 8), rng.choice([0.2, 0.5]))
+            edges = range(g.edge_count)
+            if rng.random() < 0.4:
+                edges = [e for e in edges if rng.random() < 0.6]
+                seen.add("restriction")
+            if any(all(x not in e for e in g.edges) for x in range(g.vertex_count)):
+                seen.add("isolated vertex")
+            if len(g.components()) > 1:
+                seen.add("several components")
+            cases.append((g, edges))
+        for _ in range(20):
+            bb = bunkbed(random_graph(rng, rng.randint(1, 5)))
+            cases.append((bb.total, range(bb.total.edge_count)))
+            post = bb.post_edge(rng.randrange(bb.base.vertex_count))
+            cases.append((bb.total, [e for e in range(bb.total.edge_count) if e != post]))
+        paired_seen = set()
+        for g, edges in cases:
+            n, pairs = g.vertex_count, tuple(g.edges[e] for e in edges)
+            terminals = tuple(sorted(rng.sample(range(n), rng.randint(0, min(n, 4)))))
+            orders = percolation._candidate_orders(n, pairs, terminals)
+            paired = n % 2 == 0 and all((x, x + n // 2) in pairs for x in range(n // 2))
+            paired_seen.add(paired)
+            assert len(orders) == (3 if paired else 2)
+            for order in orders:
+                assert sorted(order) == list(range(len(pairs)))
+            greedy = percolation._walk(pairs, terminals, orders[0])
+            assert percolation._edge_schedule(n, pairs, terminals).width <= greedy.width
+        assert seen == {"restriction", "isolated vertex", "several components"}
+        assert paired_seen == {True, False}
+
     def test_pair_outside_the_terminals_is_refused(self):
         w = Weight.uniform(P3, F(1, 2))
         dist = connectivity_distribution(w, terminals=(0, 2))
@@ -341,6 +395,15 @@ class TestTerminalDistributions:
         assert (dist.width, dist.states, len(dist.labels)) == (4, 10, 2)
         full = connectivity_distribution(Weight.uniform(TRIANGLE, F(1, 2)))
         assert (full.width, full.states, len(full.labels)) == (3, 5, 5)
+        # a cycle's bunkbed is swept as a ladder, both copies of each base
+        # vertex together; the greedy order walks the whole lower layer
+        # first (C6: width 8, 360 states; C12: width 14, 26,508 states)
+        c6 = SymmetricWeight.uniform(bunkbed(cycle(6)), F(1, 3)).to_weight()
+        dist = connectivity_distribution(c6, terminals=(0, 9))
+        assert dist.width <= 6 and dist.states <= 84
+        c12 = SymmetricWeight.uniform(bunkbed(cycle(12)), F(1, 3)).to_weight()
+        dist = connectivity_distribution(c12, terminals=(0, 6, 12, 18), cap=36)
+        assert dist.width <= 7 and dist.states <= 270
 
 
 class TestConnectionProbability:
