@@ -167,7 +167,10 @@ def bunkbed(base: Graph) -> BunkbedGraph:
     """Build the bunkbed of `base`: two copies plus one post edge per vertex.
 
     Graphs are immutable, so results are cached; repeated construction of
-    the same side graphs dominates the decomposition engine otherwise.
+    the same side graphs dominates the decomposition engine otherwise.  The
+    kernel's layer-paired edge order is built for exactly the layout that
+    has_bunkbed_layout recognizes, so a change to the vertex numbering here
+    must change it too.
     """
     n = base.vertex_count
     edges: list[tuple[int, int]] = []
@@ -184,6 +187,14 @@ def bunkbed(base: Graph) -> BunkbedGraph:
     total = Graph(2 * n, tuple(edges), labels)
     vmap = tuple((x, x + n) for x in range(n))
     return BunkbedGraph(base=base, total=total, vertex_map=vmap)
+
+
+def has_bunkbed_layout(vertex_count: int, edges) -> bool:
+    """Whether the vertices and edges have the layout `bunkbed` gives its
+    total graph: 2h vertices, copies x and x + h, and the post edge
+    (x, x + h) for every x < h."""
+    h, odd = divmod(vertex_count, 2)
+    return not odd and {(x, x + h) for x in range(h)} <= set(edges)
 
 
 def glue(a_graph: Graph, a: int, b_graph: Graph, b: int) -> tuple[Graph, int]:

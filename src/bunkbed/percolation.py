@@ -14,14 +14,14 @@ partition share all later work.  The walk forgets each non-terminal vertex
 right after its last edge, so the table holds partitions of the sweep front
 plus the terminals, not of every vertex; what comes out is the exact
 distribution over partitions of the terminal set.  The order is the
-narrowest of a few candidates (greedy, breadth-first and, on a bunkbed's
-layout, both copies of each base vertex together), judged by the width of
-its front before any walk.  Reordering only permutes the factors of
+narrower of two candidates (greedy and, on a bunkbed's layout, the same
+greedy with both copies of each base vertex together), judged by the width
+of its front before any walk.  Reordering only permutes the factors of
 integer products, so every result is the same Fraction whatever the order.
-A level of the table past STATE_CAP partitions raises EnumerationCapError,
-so a walk too wide for memory stops instead of exhausting it.  Edges
-outside a spec's restriction mask never enter the enumeration; their
-factors sum to 1 and are marginalized analytically.
+A level of the table past STATE_CAP partitions raises EnumerationCapError;
+the guard counts partitions, not bytes.  Edges outside a spec's
+restriction mask never enter the enumeration; their factors sum to 1 and
+are marginalized analytically.
 """
 
 from __future__ import annotations
@@ -33,12 +33,13 @@ from functools import lru_cache
 from operator import add, mul
 from typing import NamedTuple, Sequence
 
-from .graphs import BunkbedGraph, Graph
+from .graphs import BunkbedGraph, Graph, has_bunkbed_layout
 
 DEFAULT_ENUMERATION_CAP = 30
 
-# the most partitions one level of the kernel's table may hold; a level at
-# most doubles the one before it, so this bounds the kernel's memory
+# the most partitions one level of the kernel's table may hold; it counts
+# entries, not bytes: each entry's key has one character per vertex and its
+# numerators, one per weight, grow with the edges walked
 STATE_CAP = 1 << 21
 
 # every enumeration runs in one process: no atom count reaches a pool; the
@@ -211,26 +212,23 @@ class _Schedule(NamedTuple):
 
     order lists positions into the enumerated edges; forget[k] holds the
     non-terminal vertices whose last edge is the k-th one walked; width is
-    the most vertices live at once (met by a walked edge, not yet forgotten)
-    and live the number of live vertices summed over all steps.
+    the most vertices live at once (met by a walked edge, not yet forgotten).
     """
 
     order: tuple[int, ...]
     forget: tuple[tuple[int, ...], ...]
     width: int
-    live: int
 
 
 @lru_cache(maxsize=256)
 def _edge_schedule(
     n: int, edges: tuple[tuple[int, int], ...], terminals: tuple[int, ...]
 ) -> _Schedule:
-    """The cheapest of the candidate orders: the narrowest front first, then
-    the fewest live vertices summed over all steps.  A tie keeps the earlier
-    candidate, so greedy stays wherever it is already as narrow."""
+    """The candidate order with the narrowest front.  A tie keeps the
+    earlier candidate, so greedy stays wherever it is already as narrow."""
     return min(
         (_walk(edges, terminals, order) for order in _candidate_orders(n, edges, terminals)),
-        key=lambda s: (s.width, s.live),
+        key=lambda s: s.width,
     )
 
 
@@ -238,14 +236,13 @@ def _candidate_orders(
     n: int, edges: Sequence[tuple[int, int]], terminals: tuple[int, ...]
 ) -> list[list[int]]:
     """Edge orders that place the vertices one at a time, each walking its
-    edges to placed ones as it is placed.  All start at the smallest terminal
-    with an edge:
+    edges to placed ones as it is placed.  Both start at the smallest
+    terminal with an edge:
 
     1. greedy: place, each time, the vertex with the most edges to placed
        ones (ties: lower degree, then lower index);
-    2. breadth-first, on into every further component;
-    3. only for the layout graphs.bunkbed produces (2h vertices, an edge
-       (x, x + h) for every x < h): the same greedy over base vertices,
+    2. only for the layout graphs.bunkbed produces (see
+       graphs.has_bunkbed_layout): the same greedy over base vertices,
        placing both copies of each base vertex together, so that a cycle is
        swept as a ladder, not one whole layer before the other.
     """
@@ -256,12 +253,9 @@ def _candidate_orders(
     start = min((t for t in terminals if adjacency[t]), default=None)
     neighbours = [[y for y, _ in a] for a in adjacency]
     greedy = _greedy(neighbours, {x for x in range(n) if adjacency[x]}, start)
-    orders = [
-        _placed_edges(adjacency, greedy),
-        _placed_edges(adjacency, _breadth_first(neighbours, start)),
-    ]
-    h = n // 2
-    if n % 2 == 0 and {(x, x + h) for x in range(h)} <= set(edges):
+    orders = [_placed_edges(adjacency, greedy)]
+    if has_bunkbed_layout(n, edges):
+        h = n // 2
         base = [[y % h for y in neighbours[x] + neighbours[x + h] if y % h != x] for x in range(h)]
         paired = _greedy(base, set(range(h)), None if start is None else start % h)
         orders.append(_placed_edges(adjacency, [z for x in paired for z in (x, x + h)]))
@@ -283,29 +277,6 @@ def _greedy(neighbours: list[list[int]], unplaced: set[int], start: int | None) 
         for y in neighbours[x]:
             if y in unplaced:
                 links[y] += 1
-    return order
-
-
-def _breadth_first(neighbours: list[list[int]], start: int | None) -> list[int]:
-    """Breadth-first from `start`, then from the smallest vertex with an edge
-    not yet reached, until every vertex with an edge is placed."""
-    roots = [x for x in range(len(neighbours)) if neighbours[x]]
-    if start is not None:
-        roots.insert(0, start)
-    order: list[int] = []
-    seen = set()
-    i = 0
-    for root in roots:
-        if root in seen:
-            continue
-        seen.add(root)
-        order.append(root)
-        while i < len(order):
-            for y in neighbours[order[i]]:
-                if y not in seen:
-                    seen.add(y)
-                    order.append(y)
-            i += 1
     return order
 
 
@@ -333,7 +304,7 @@ def _walk(
     for x, step in last.items():
         if x not in keep:
             forget[step].append(x)
-    width = live = total = 0
+    width = live = 0
     met = set()
     for step, k in enumerate(order):
         for x in edges[k]:
@@ -341,9 +312,8 @@ def _walk(
                 met.add(x)
                 live += 1
         width = max(width, live)
-        total += live
         live -= len(forget[step])
-    return _Schedule(tuple(order), tuple(map(tuple, forget)), width, total)
+    return _Schedule(tuple(order), tuple(map(tuple, forget)), width)
 
 
 def _partition_numerators(

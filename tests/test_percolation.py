@@ -367,7 +367,7 @@ class TestTerminalDistributions:
             orders = percolation._candidate_orders(n, pairs, terminals)
             paired = n % 2 == 0 and all((x, x + n // 2) in pairs for x in range(n // 2))
             paired_seen.add(paired)
-            assert len(orders) == (3 if paired else 2)
+            assert len(orders) == (2 if paired else 1)
             for order in orders:
                 assert sorted(order) == list(range(len(pairs)))
             greedy = percolation._walk(pairs, terminals, orders[0])
