@@ -22,15 +22,22 @@ A level of the table past STATE_CAP partitions raises EnumerationCapError;
 the guard counts partitions, not bytes.  Edges outside a spec's
 restriction mask never enter the enumeration; their factors sum to 1 and
 are marginalized analytically.
+
+Which entry flows into which depends on the graph, the terminals, the order
+and which branches some weight can take, never on the weights themselves.
+So a walk is compiled once into flat index arrays and cached, and each
+weight replays it as integer multiply-adds over plain lists: a repeated
+walk, or one over many weights, does the partition bookkeeping once.
 """
 
 from __future__ import annotations
 
 import time
+from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from operator import add, mul
+from itertools import islice
 from typing import NamedTuple, Sequence
 
 from .graphs import BunkbedGraph, Graph, has_bunkbed_layout
@@ -316,9 +323,154 @@ def _walk(
     return _Schedule(tuple(order), tuple(map(tuple, forget)), width)
 
 
+class _Plan(NamedTuple):
+    """A compiled walk: each edge walked is one step, and each step reads
+    the next stretch of `indices`, the lengths of six runs and then the
+    runs.  The runs index the table before the step, and the table after it
+    lists, in order:
+
+    1. the entries the edge lies inside one component of, times its whole
+       denominator;
+    2. the entries it closes, times its closed numerator;
+    3. the entries it opens into a partition not yet listed, times its open
+       numerator;
+
+    and then (4) pairs (i, j): entry i opened adds into entry j.  When the
+    edge is the last of some vertices, forgetting them merges that table:
+    (5) lists the entries that start the merged table, and (6) pairs (i, j)
+    add entry i into the merged entry j; otherwise both runs are empty.  A
+    pair counts once in its run's length.  labels are the final table's terminal labels, states its peak
+    number of entries.
+    """
+
+    indices: array
+    labels: tuple[tuple[int, ...], ...]
+    states: int
+
+
+class _Unretained(Exception):
+    """Carries a plan too large for the plan cache out of it: lru_cache keeps
+    no result of a call that raises."""
+
+
+def _compile(
+    n: int,
+    edges: tuple[tuple[int, int], ...],
+    terminals: tuple[int, ...],
+    schedule: _Schedule,
+    pattern: tuple[tuple[bool, bool], ...],
+) -> _Plan:
+    """Walk the partitions once, recording each step as runs of indices.
+
+    pattern[k] tells whether edge k may open and whether it may close under
+    some weight; a branch no weight can take is never listed.  Raises
+    EnumerationCapError once a level's table passes STATE_CAP entries.
+    """
+    # character x of a label names the smallest live vertex of x's
+    # component, so merging two components is one str.replace; a forgotten
+    # vertex holds `gone`, which names no component
+    gone = chr(n)
+    table = {"".join(map(chr, range(n))): 0}  # label -> index in the table
+    states = 1
+    indices = array("I")
+    for k, dropped in zip(schedule.order, schedule.forget):
+        u, v = edges[k]
+        can_open, can_close = pattern[k]
+        runs = whole, closed, opened, adds, first, merges = [array("I") for _ in range(6)]
+        nxt: dict[str, int] = {}
+        split = []
+        for lab, i in table.items():
+            if lab[u] == lab[v]:
+                nxt[lab] = len(nxt)
+                whole.append(i)
+            else:
+                split.append((lab, i))
+        if can_close:
+            for lab, i in split:
+                nxt[lab] = len(nxt)
+                closed.append(i)
+        if can_open:
+            get = nxt.get
+            for lab, i in split:
+                a, b = lab[u], lab[v]
+                key = lab.replace(b, a) if a < b else lab.replace(a, b)
+                j = get(key)
+                if j is None:
+                    nxt[key] = len(nxt)
+                    opened.append(i)
+                else:
+                    adds.extend((i, j))
+        states = max(states, len(nxt))
+        if states > STATE_CAP:
+            raise EnumerationCapError(states, STATE_CAP, unit="states")
+        if dropped:
+            table = {}
+            for i, lab in enumerate(nxt):
+                for x in dropped:
+                    c = lab[x]
+                    if c == chr(x):  # x names its component: pass the name on
+                        y = lab.find(c, x + 1)
+                        if y >= 0:
+                            lab = lab.replace(c, chr(y))
+                    lab = lab[:x] + gone + lab[x + 1:]
+                j = table.get(lab)
+                if j is None:
+                    table[lab] = len(table)
+                    first.append(i)
+                else:
+                    merges.extend((i, j))
+        else:
+            table = nxt
+        header = len(whole), len(closed), len(opened), len(adds) // 2, len(first), len(merges) // 2
+        indices.extend(header)
+        for run in runs:
+            indices.extend(run)
+    labels = tuple(tuple(ord(lab[t]) for t in terminals) for lab in table)
+    return _Plan(indices, labels, states)
+
+
+@lru_cache(maxsize=256)
+def _cached_plan(
+    n: int,
+    edges: tuple[tuple[int, int], ...],
+    terminals: tuple[int, ...],
+    schedule: _Schedule,
+    pattern: tuple[tuple[bool, bool], ...],
+) -> _Plan:
+    """The compiled walk, kept while it holds at most STATE_CAP indices
+    (4 bytes each); a larger one leaves in _Unretained."""
+    plan = _compile(n, edges, terminals, schedule, pattern)
+    if len(plan.indices) > STATE_CAP:
+        raise _Unretained(plan)
+    return plan
+
+
+def _replay(plan: _Plan, factors: list[tuple[int, int]]) -> list[int]:
+    """The numerators of a compiled walk's final table under one weight,
+    factors[s] holding the open and the closed numerator of step s's edge."""
+    run = iter(plan.indices)
+    pairs = zip(run, run)  # consecutive indices (i, j)
+    nums = [1]
+    for o, c in factors:
+        whole, closed, opened, adds, first, merges = islice(run, 6)
+        w = o + c
+        nxt = [nums[i] * w for i in islice(run, whole)]
+        nxt += [nums[i] * c for i in islice(run, closed)]
+        nxt += [nums[i] * o for i in islice(run, opened)]
+        for i, j in islice(pairs, adds):
+            nxt[j] += nums[i] * o
+        if first:
+            nums = [nxt[i] for i in islice(run, first)]
+            for i, j in islice(pairs, merges):
+                nums[j] += nxt[i]
+        else:
+            nums = nxt
+    return nums
+
+
 def _partition_numerators(
     n: int,
-    edges: Sequence[tuple[int, int]],
+    edges: tuple[tuple[int, int], ...],
     factors: Sequence[tuple[tuple[int, ...], tuple[int, ...]]],
     count: int,
     terminals: tuple[int, ...],
@@ -327,12 +479,13 @@ def _partition_numerators(
     """The exact integer numerator of every partition of the terminals into
     open components.
 
-    The one enumeration loop of the package.  An atom opens or closes each
-    of the m `edges`; factors[i] holds the open and the closed numerator of
+    The one enumeration of the package.  An atom opens or closes each of
+    the m `edges`; factors[i] holds the open and the closed numerator of
     edge i under each of `count` weights.  Returns the partitions, each as
     the smallest terminal of every terminal's component, one column of
     numerators per weight, and the peak number of table entries.  Raises
-    EnumerationCapError once a level's table passes STATE_CAP entries.
+    EnumerationCapError when a level's table passes STATE_CAP entries: while
+    the walk is compiled, and by its peak on every replay of a cached plan.
 
     The edges are walked in the schedule's order, keeping one entry per
     partition of the live vertices: all atoms whose edges so far leave the
@@ -343,65 +496,30 @@ def _partition_numerators(
     a non-terminal vertex's last edge it is forgotten: its component is
     renamed by its smallest remaining vertex, and entries that become equal
     are merged.
+
+    Which entries go where depends on the graph, the terminals, the
+    schedule and which branches some weight can take, not on the weights:
+    that bookkeeping is compiled once into an index array (_compile) and
+    cached, and each weight replays it as integer multiply-adds (_replay).
     """
-    # character x of a key names the smallest live vertex of x's component,
-    # so merging two components is one str.replace; a forgotten vertex
-    # holds `gone`, which names no component
-    gone = chr(n)
-    table: dict[str, tuple[int, ...]] = {"".join(map(chr, range(n))): (1,) * count}
-    states = 1
-    for k, dropped in zip(schedule.order, schedule.forget):
-        u, v = edges[k]
-        opens, closeds = factors[k]
-        wholes = tuple(map(add, opens, closeds))
-        can_open, can_close = any(opens), any(closeds)
-        nxt: dict[str, tuple[int, ...]] = {}
-        get = nxt.get
-        while table:  # popped, so that one level at a time is held
-            lab, nums = table.popitem()
-            a, b = lab[u], lab[v]
-            if a == b:
-                vals = tuple(map(mul, nums, wholes))
-                old = get(lab)
-                nxt[lab] = vals if old is None else tuple(map(add, old, vals))
-                continue
-            if can_close:
-                vals = tuple(map(mul, nums, closeds))
-                old = get(lab)
-                nxt[lab] = vals if old is None else tuple(map(add, old, vals))
-            if can_open:
-                key = lab.replace(b, a) if a < b else lab.replace(a, b)
-                vals = tuple(map(mul, nums, opens))
-                old = get(key)
-                nxt[key] = vals if old is None else tuple(map(add, old, vals))
-        states = max(states, len(nxt))
-        if states > STATE_CAP:
-            raise EnumerationCapError(states, STATE_CAP, unit="states")
-        if dropped:
-            table = {}
-            get = table.get
-            while nxt:
-                lab, nums = nxt.popitem()
-                for x in dropped:
-                    c = lab[x]
-                    if c == chr(x):  # x names its component: pass the name on
-                        y = lab.find(c, x + 1)
-                        if y >= 0:
-                            lab = lab.replace(c, chr(y))
-                    lab = lab[:x] + gone + lab[x + 1:]
-                old = get(lab)
-                table[lab] = nums if old is None else tuple(map(add, old, nums))
-        else:
-            table = nxt
-    labels: list[tuple[int, ...]] = []
-    columns: list[list[int]] = [[] for _ in range(count)]
-    while table:
-        lab, nums = table.popitem()
-        if any(nums):  # a partition no weight can reach
-            labels.append(tuple(ord(lab[t]) for t in terminals))
-            for column, num in zip(columns, nums):
-                column.append(num)
-    return labels, columns, states
+    pattern = tuple((any(opens), any(closeds)) for opens, closeds in factors)
+    try:
+        plan = _cached_plan(n, edges, terminals, schedule, pattern)
+    except _Unretained as big:
+        plan = big.args[0]
+    if plan.states > STATE_CAP:
+        raise EnumerationCapError(plan.states, STATE_CAP, unit="states")
+    walked = [factors[k] for k in schedule.order]
+    columns = [
+        _replay(plan, [(opens[c], closeds[c]) for opens, closeds in walked])
+        for c in range(count)
+    ]
+    if columns and 0 not in columns[0]:
+        return list(plan.labels), columns, plan.states
+    # drop the partitions no weight can reach
+    live = [i for i, nums in enumerate(zip(*columns)) if any(nums)]
+    labels = [plan.labels[i] for i in live]
+    return labels, [[col[i] for i in live] for col in columns], plan.states
 
 
 def _enumerated_edges(graph: Graph, restriction, cap: int) -> list[int]:
@@ -565,9 +683,11 @@ def connectivity_distributions(
     """One enumeration shared by several weights on the same graph.
 
     The partitions the kernel walks are the same for every weight, so
-    checking many weights against one graph costs one walk plus one
-    multiply-add per weight per partition entry.  The partitions are those
-    of `terminals` (default: every vertex); fewer terminals mean fewer
+    checking many weights against one graph costs one walk of the
+    partitions, compiled once and cached per graph, terminals and branches
+    the weights can take, plus one multiply-add per weight per table entry
+    and edge.  The partitions are
+    those of `terminals` (default: every vertex); fewer terminals mean fewer
     partitions.
     """
     for w in weights:

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 from unittest import mock
@@ -26,7 +27,7 @@ from bunkbed.percolation import (
     sum_over_all_atoms,
 )
 
-from oracles import naive_event_probability
+from oracles import BunkbedGridOracle, naive_event_probability
 
 F = Fraction
 
@@ -181,6 +182,24 @@ class TestEventProbability:
         with pytest.raises(EnumerationCapError, match=message):
             event_probability(w, spec)
 
+    def test_state_cap_while_compiling(self, monkeypatch):
+        # as above, with the plan cache cleared first: the guard stops the
+        # walk that compiles the plan, not the replay of a cached one
+        w = SymmetricWeight.uniform(bunkbed(cycle(6)), F(1, 3)).to_weight()
+        spec = ConnectivitySpec.connected(0, 9)
+        want = event_probability(w, spec).value
+        peak = connectivity_distribution(w, terminals=(0, 9)).states
+        monkeypatch.setattr(percolation, "STATE_CAP", peak)
+        percolation._cached_plan.cache_clear()
+        assert event_probability(w, spec).value == want
+        monkeypatch.setattr(percolation, "STATE_CAP", peak - 1)
+        percolation._cached_plan.cache_clear()
+        message = f"over {peak} states exceeds the cap of {peak - 1}"
+        with pytest.raises(EnumerationCapError, match=message):
+            event_probability(w, spec)
+        info = percolation._cached_plan.cache_info()
+        assert (info.currsize, info.hits, info.misses) == (0, 0, 1)
+
 
 class TestKernelAgainstOracle:
     def test_kernel_matches_naive_oracle(self):
@@ -231,6 +250,106 @@ class TestKernelAgainstOracle:
         assert seen == {
             "no edges", "isolated vertex", "restriction", "negative pair", "below 2^62", "at least 2^62",
         }
+
+
+class TestCompiledWalk:
+    """The kernel compiles a walk once per graph, terminals, schedule and
+    branch pattern, and replays the compiled plan per weight."""
+
+    def test_a_cached_plan_replays_a_new_batch(self):
+        # the grid of symmetric weights on the triangle's bunkbed, in two
+        # batches: the second replays the plan the first compiled
+        grid = (F(1, 3), F(1, 2), F(3, 4))
+        oracle = BunkbedGridOracle(TRIANGLE, grid)
+        bb = oracle.bb
+        x, same, cross = bb.minus_vertex(0), bb.minus_vertex(2), bb.plus_vertex(2)
+        tensors = {y: oracle.event_tensor([(x, y)]) for y in (same, cross)}
+        points = list(itertools.product(range(len(grid)), repeat=6))
+        weights = [oracle.weight_at(point).to_weight() for point in points]
+        percolation._cached_plan.cache_clear()
+        half = len(points) // 2
+        dists = connectivity_distributions(bb.total, weights[:half])
+        compiled = percolation._cached_plan.cache_info()
+        dists += connectivity_distributions(bb.total, weights[half:])
+        replayed = percolation._cached_plan.cache_info()
+        assert (compiled.misses, replayed.misses, replayed.hits - compiled.hits) == (1, 1, 1)
+        for point, dist in zip(points, dists):
+            for y, tensor in tensors.items():
+                assert dist.connection(x, y) == oracle.value_at(tensor, point)
+
+    def test_each_branch_pattern_has_its_own_plan(self):
+        # one schedule, batches that differ only in which branches some
+        # weight can take: edge 0 at 0 or at 1 in a whole batch prunes a
+        # branch; at 0 in one weight only does not.  In either order of the
+        # batches, each gives the naive values and the states of a fresh walk.
+        rng = random.Random(107)
+        g = bunkbed(cycle(4)).total
+        terminals, spec = (0, 6), ConnectivitySpec.connected(0, 6)
+
+        def batch(first=None):
+            out = [Weight(g, tuple(F(rng.randint(1, 6), 7) for _ in g.edges)) for _ in range(3)]
+            if first is not None:
+                out = [w.replace(0, first) for w in out]
+            return out
+
+        # the last two generic weights have common denominators below and at
+        # least 2^62 (35^12 < 2^62 <= 37^12)
+        generic = batch() + [Weight.uniform(g, F(2, 35)), Weight.uniform(g, F(3, 37))]
+        batches = {
+            "generic": generic,
+            "closed": batch(0),
+            "open": batch(1),
+            "one closed": batch() + [generic[0].replace(0, 0)],
+        }
+        want = {
+            id(w): naive_event_probability(w, spec.positive) for b in batches.values() for w in b
+        }
+        fresh = {}
+        for name, ws in batches.items():
+            percolation._cached_plan.cache_clear()
+            fresh[name] = connectivity_distributions(g, ws, terminals=terminals)[0].states
+        assert fresh["closed"] < fresh["generic"] and fresh["open"] < fresh["generic"]
+        for order in (list(batches), list(reversed(batches))):
+            percolation._cached_plan.cache_clear()
+            for name in order:
+                dists = connectivity_distributions(g, batches[name], terminals=terminals)
+                assert [d.states for d in dists] == [fresh[name]] * len(dists)
+                for w, dist in zip(batches[name], dists):
+                    assert dist.probability(spec) == want[id(w)]
+                if name == "generic":
+                    assert dists[3].denominator < 1 << 62 <= dists[4].denominator
+            assert percolation._cached_plan.cache_info().currsize == 3
+
+    def test_a_batch_of_zero_weights(self):
+        # only closed branches are walked: one partition, every vertex alone
+        g = bunkbed(cycle(4)).total
+        zero = Weight.uniform(g, 0)
+        for dist in connectivity_distributions(g, [zero, zero]):
+            assert (dist.labels, dist.numerators, dist.denominator) == ([tuple(range(8))], [1], 1)
+            assert dist.states == 1
+            assert dist.connection(0, 6) == naive_event_probability(zero, ((0, 6),)) == 0
+
+    def test_returned_labels_are_fresh(self):
+        w = Weight.uniform(cycle(4), F(1, 3))
+        first = connectivity_distribution(w)
+        second = connectivity_distribution(w)
+        assert first.labels == second.labels and first.labels is not second.labels
+        first.labels.clear()
+        assert connectivity_distribution(w).labels == second.labels
+
+    def test_a_plan_past_the_retain_bound_is_replayed_and_dropped(self, monkeypatch):
+        # the C6 event's plan holds far more index entries than its peak
+        # of states: with STATE_CAP at that peak it is walked, not kept
+        w = SymmetricWeight.uniform(bunkbed(cycle(6)), F(1, 3)).to_weight()
+        dist = connectivity_distribution(w, terminals=(0, 9))
+        want, peak = dist.connection(0, 9), dist.states
+        percolation._cached_plan.cache_clear()
+        monkeypatch.setattr(percolation, "STATE_CAP", peak)
+        for _ in range(2):
+            assert connectivity_distribution(w, terminals=(0, 9)).connection(0, 9) == want
+            assert event_probability(w, ConnectivitySpec.connected(0, 9)).value == want
+        info = percolation._cached_plan.cache_info()
+        assert (info.currsize, info.hits, info.misses) == (0, 0, 4)
 
 
 def nonzero(dist) -> dict:
