@@ -378,21 +378,21 @@ def _compile(
         can_open, can_close = pattern[k]
         runs = whole, closed, opened, adds, first, merges = [array("I") for _ in range(6)]
         nxt: dict[str, int] = {}
-        split = []
         for lab, i in table.items():
             if lab[u] == lab[v]:
                 nxt[lab] = len(nxt)
                 whole.append(i)
-            else:
-                split.append((lab, i))
         if can_close:
-            for lab, i in split:
-                nxt[lab] = len(nxt)
-                closed.append(i)
+            for lab, i in table.items():
+                if lab[u] != lab[v]:
+                    nxt[lab] = len(nxt)
+                    closed.append(i)
         if can_open:
             get = nxt.get
-            for lab, i in split:
+            for lab, i in table.items():
                 a, b = lab[u], lab[v]
+                if a == b:
+                    continue
                 key = lab.replace(b, a) if a < b else lab.replace(a, b)
                 j = get(key)
                 if j is None:
