@@ -32,7 +32,7 @@ from .percolation import (
     parse_rational,
     parse_symmetric_weight_file,
 )
-from .reduction import two_point_probability
+from .reduction import layer_probabilities
 
 
 class BoundExceededError(ValueError):
@@ -195,15 +195,9 @@ def bunkbed_delta(
     *,
     cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> BunkbedDelta:
-    """Both layer probabilities for one pair, via the decomposition engine."""
-    bb = w.bunkbed
-    if bb.base != base:
-        raise ValueError("weight belongs to a different base graph")
-    for t in (x, y):
-        if not 0 <= t < base.vertex_count:
-            raise ValueError(f"vertex {t} out of range")
-    same = two_point_probability(base, w, bb.minus_vertex(x), bb.minus_vertex(y), cap=cap).value
-    cross = two_point_probability(base, w, bb.minus_vertex(x), bb.plus_vertex(y), cap=cap).value
+    """Both layer probabilities for one pair, read off one solve of the
+    decomposition engine for the pair and weight."""
+    same, cross = layer_probabilities(base, w, x, y, cap=cap)
     return BunkbedDelta(
         base=base, weight=w, x=x, y=y,
         same_layer=same, cross_layer=cross, delta=same - cross,

@@ -172,12 +172,9 @@ def _cmd_check(args) -> int:
     cfg = _config_from(args)
     graph = parse_graph(Path(args.graph).read_text())
     source = _parse_weight_source(args.weights, cfg.seed)
-    pairs = None
-    if args.pair:
-        pairs = [(int(x), int(y)) for x, y in args.pair]
     report = check_graph(
         graph, source,
-        pairs=pairs,
+        pairs=args.pair,
         graph_id=args.graph,
         cap=cfg.enumeration_cap,
     )
@@ -288,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("graph")
     p.add_argument("--weights", default=None,
                    help="grid | grid:v1,v2,... | random:N[:den] | weight file path (default grid)")
-    p.add_argument("--pair", nargs=2, action="append", metavar=("X", "Y"),
+    p.add_argument("--pair", nargs=2, type=int, action="append", metavar=("X", "Y"),
                    help="check only these pairs (repeatable; default all pairs)")
     common(p)
     p.set_defaults(func=_cmd_check)

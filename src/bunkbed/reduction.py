@@ -6,9 +6,12 @@ probability; every connection probability between vertices of the kept
 side is preserved.  collapse_side and the three-term cross identity
 (cross_side_probability) are exposed as tested transforms.
 
-two_point_probability runs one recursion, _solve, over pieces with at most
-two port base vertices.  Each piece returns the exact distribution over
-partitions of both layers of its ports, and three steps produce it:
+two_point_probability and layer_probabilities run one recursion, _solve,
+over pieces with at most two port base vertices.  Each piece returns the
+exact distribution over partitions of both layers of its ports, so one
+solve of a pair gives every connection between x-, x+, y- and y+:
+two_point_probability reads one of them, layer_probabilities reads
+P(x- ~ y-) and P(x- ~ y+) together.  Three steps produce the table:
 collapse (a side holding no port becomes the kept side's post value),
 join (at a cut vertex v separating the ports, the tables of the two sides,
 with v among the ports of each, are combined by a union over the six
@@ -396,6 +399,32 @@ def _solve(base, values, ports, origin, stats, cap):
     return table
 
 
+def _weight_values(base: Graph, weight: Weight | SymmetricWeight) -> list:
+    """The values of a weight on bunkbed(base).total, checked to live there."""
+    if isinstance(weight, SymmetricWeight):
+        if weight.bunkbed.base != base:
+            raise ValueError("symmetric weight belongs to a different base graph")
+        return list(weight.to_weight().values)
+    bb = bunkbed(base)
+    if (weight.graph.vertex_count, weight.graph.edges) != (bb.total.vertex_count, bb.total.edges):
+        raise ValueError("weight does not live on the bunkbed of the given base graph")
+    return list(weight.values)
+
+
+def _pair_table(base, values, abar, bbar, stats, cap):
+    """The table over both layers of the ports (abar,) or (abar, bbar),
+    solved on the component holding them; None when they lie in two."""
+    comp = next(c for c in base.components() if abar in c)
+    if bbar not in comp:
+        return None
+    if len(comp) < base.vertex_count:
+        sub, vemb, eemb = base.induced(comp)
+        values = _side_values(values, base, sub, bunkbed(sub), vemb, eemb)
+        base, abar, bbar = sub, comp.index(abar), comp.index(bbar)
+    ports = (abar,) if abar == bbar else (abar, bbar)
+    return _solve(base, values, ports, tuple(comp), stats, cap)
+
+
 def two_point_probability(
     base: Graph,
     weight: Weight | SymmetricWeight,
@@ -408,7 +437,7 @@ def two_point_probability(
     """Exact connection probability between two bunkbed vertices of base.
 
     Keeps the component holding both base vertices (0 if they lie in two),
-    then solves it for the table over both layers of the pair: collapse
+    then solves it once for the table over both layers of the pair: collapse
     strips every side away from the ports into a post value, a cut vertex
     separating the ports joins the tables of its two sides, and a piece
     with no usable cut vertex is one kernel call.  P(a ~ b) is read off that
@@ -418,34 +447,19 @@ def two_point_probability(
     compatibility; the kernel runs in one process.
     """
     t0 = time.perf_counter()
-    if isinstance(weight, SymmetricWeight):
-        if weight.bunkbed.base != base:
-            raise ValueError("symmetric weight belongs to a different base graph")
-        values = list(weight.to_weight().values)
-    else:
-        bb = bunkbed(base)
-        if (weight.graph.vertex_count, weight.graph.edges) != (bb.total.vertex_count, bb.total.edges):
-            raise ValueError("weight does not live on the bunkbed of the given base graph")
-        values = list(weight.values)
+    values = _weight_values(base, weight)
     n = base.vertex_count
     for t in (a, b):
         if not 0 <= t < 2 * n:
             raise ValueError(f"bunkbed vertex {t} out of range")
     stats = _Stats()
     abar, bbar = a % n, b % n
-    comp = next(c for c in base.components() if abar in c)
-    if a == b:
-        value = ONE
-    elif bbar not in comp:
-        value = ZERO
+    table = None if a == b else _pair_table(base, values, abar, bbar, stats, cap)
+    if table is None:
+        value = ONE if a == b else ZERO
     else:
-        if len(comp) < n:
-            sub, vemb, eemb = base.induced(comp)
-            values = _side_values(values, base, sub, bunkbed(sub), vemb, eemb)
-            base, abar, bbar = sub, comp.index(abar), comp.index(bbar)
-        ports = (abar,) if abar == bbar else (abar, bbar)
-        nums, den = _solve(base, values, ports, tuple(comp), stats, cap)
-        sa, sb = a // n, 2 * (len(ports) - 1) + b // n
+        nums, den = table
+        sa, sb = a // n, (0 if abar == bbar else 2) + b // n
         value = Fraction(sum(num for key, num in nums.items() if key[sa] == key[sb]), den)
     return ProbabilityReport(
         value=value,
@@ -453,3 +467,32 @@ def two_point_probability(
         atoms_evaluated=stats.atoms,
         elapsed=time.perf_counter() - t0,
     )
+
+
+def layer_probabilities(
+    base: Graph,
+    weight: Weight | SymmetricWeight,
+    x: int,
+    y: int,
+    *,
+    cap: int = DEFAULT_ENUMERATION_CAP,
+) -> tuple[Fraction, Fraction]:
+    """(P(x- ~ y-), P(x- ~ y+)) for base vertices x and y, from one solve.
+
+    Both values lie in the one table over both layers of the ports that
+    two_point_probability reads a single entry of; a pair in two components
+    gives (0, 0).  Accepts the same weights as two_point_probability.
+    """
+    values = _weight_values(base, weight)
+    for t in (x, y):
+        if not 0 <= t < base.vertex_count:
+            raise ValueError(f"base vertex {t} out of range")
+    table = _pair_table(base, values, x, y, _Stats(), cap)
+    if table is None:
+        return ZERO, ZERO
+    nums, den = table
+    # the slots of y- and y+: with x == y the one port's own two slots
+    lower, upper = (0, 1) if x == y else (2, 3)
+    same = sum(num for key, num in nums.items() if key[0] == key[lower])
+    cross = sum(num for key, num in nums.items() if key[0] == key[upper])
+    return Fraction(same, den), Fraction(cross, den)

@@ -1,8 +1,11 @@
+import itertools
 import json
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bunkbed.checker import (
     BoundExceededError,
@@ -18,7 +21,8 @@ from bunkbed.checker import (
     tree_canonical_form,
 )
 from bunkbed.graphs import Graph, bunkbed, glue
-from bunkbed.percolation import SymmetricWeight, connection_probability
+from bunkbed.percolation import EnumerationCapError, SymmetricWeight, Weight, connection_probability
+from bunkbed.reduction import layer_probabilities, two_point_probability
 
 F = Fraction
 
@@ -80,6 +84,107 @@ class TestBunkbedDelta:
         sw = SymmetricWeight.uniform(bunkbed(K2), F(1, 2))
         with pytest.raises(ValueError):
             BunkbedDelta(K2, sw, 0, 1, F(1, 2), F(1, 4), F(1, 8))
+
+
+C5 = Graph(5, tuple((i, (i + 1) % 5) for i in range(5)))
+K4_CHAIN_2 = Graph(7, K4.edges + tuple((u + 3, v + 3) for u, v in K4.edges))
+# K2 beside P3, and K2 beside an isolated vertex: pairs in two components
+TWO_COMPONENTS = Graph(5, ((0, 1), (2, 3), (3, 4)))
+ISOLATED = Graph(3, ((0, 1),))
+# 0 and 1 among the values: closed and sure edges reach the kernel
+LAYER_VALUES = (F(0), F(1, 3), F(1, 2), F(3, 4), F(1))
+
+
+def _layer_weights(base, seed, count=3):
+    """Random symmetric weights and asymmetric weights on the bunkbed,
+    valued in LAYER_VALUES."""
+    rng = random.Random(seed)
+    bb = bunkbed(base)
+    pick = lambda k: tuple(rng.choice(LAYER_VALUES) for _ in range(k))
+    sym = [SymmetricWeight(bb, pick(base.edge_count), pick(base.vertex_count)) for _ in range(count)]
+    plain = [Weight(bb.total, pick(bb.total.edge_count)) for _ in range(count)]
+    return sym + plain
+
+
+def _two_solves(base, w, x, y):
+    n = base.vertex_count
+    return (
+        two_point_probability(base, w, x, y).value,
+        two_point_probability(base, w, x, y + n).value,
+    )
+
+
+class TestLayerProbabilities:
+    @pytest.mark.parametrize(
+        "base",
+        [*enumerate_trees(5), C4, C5, K4, K4_CHAIN_2, TWO_COMPONENTS, ISOLATED],
+        ids=["tree5-0", "tree5-1", "tree5-2", "C4", "C5", "K4", "K4-chain-x2", "two-components", "isolated"],
+    )
+    def test_equals_two_point_probability_on_every_pair(self, base):
+        n = base.vertex_count
+        for i, w in enumerate(_layer_weights(base, seed=n * 31 + base.edge_count)):
+            for x in range(n):
+                for y in range(n):
+                    assert layer_probabilities(base, w, x, y) == _two_solves(base, w, x, y), (i, x, y)
+
+    def test_pairs_across_and_within_components(self):
+        w = SymmetricWeight.uniform(bunkbed(TWO_COMPONENTS), F(1))
+        assert layer_probabilities(TWO_COMPONENTS, w, 1, 4) == (0, 0)
+        assert layer_probabilities(TWO_COMPONENTS, w, 4, 2) == (1, 1)
+        assert layer_probabilities(ISOLATED, SymmetricWeight.uniform(bunkbed(ISOLATED), F(1, 2)), 2, 2) == (1, F(1, 2))
+
+    def test_matches_the_grid_oracle(self):
+        from oracles import BunkbedGridOracle
+
+        oracle = BunkbedGridOracle(P3, (0, F(1, 2), 1))
+        bb = oracle.bb
+        for x in range(3):
+            for y in range(3):
+                same = oracle.event_tensor([(bb.minus_vertex(x), bb.minus_vertex(y))])
+                cross = oracle.event_tensor([(bb.minus_vertex(x), bb.plus_vertex(y))])
+                for point in itertools.product(range(3), repeat=5):
+                    got = layer_probabilities(P3, oracle.weight_at(point), x, y)
+                    assert got == (oracle.value_at(same, point), oracle.value_at(cross, point)), (x, y, point)
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 5), edge_bits=st.integers(0, (1 << 10) - 1), data=st.data())
+    def test_random_graphs(self, n, edge_bits, data):
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        base = Graph(n, tuple(e for k, e in enumerate(pairs) if edge_bits >> k & 1))
+        value = st.sampled_from(LAYER_VALUES)
+        bb = bunkbed(base)
+        if data.draw(st.booleans()):
+            w = SymmetricWeight(
+                bb,
+                tuple(data.draw(st.lists(value, min_size=base.edge_count, max_size=base.edge_count))),
+                tuple(data.draw(st.lists(value, min_size=n, max_size=n))),
+            )
+        else:
+            m = bb.total.edge_count
+            w = Weight(bb.total, tuple(data.draw(st.lists(value, min_size=m, max_size=m))))
+        x, y = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+        assert layer_probabilities(base, w, x, y) == _two_solves(base, w, x, y)
+
+    def test_cap_error_names_block(self):
+        cycle8 = Graph(8, tuple((i, (i + 1) % 8) for i in range(8)))
+        sw = SymmetricWeight.uniform(bunkbed(cycle8), F(1, 2))
+        with pytest.raises(EnumerationCapError, match="block on base vertices"):
+            layer_probabilities(cycle8, sw, 0, 4, cap=10)
+
+    @pytest.mark.parametrize("x, y", [(7, 0), (0, -1)])
+    def test_rejects_a_vertex_out_of_range(self, x, y):
+        with pytest.raises(ValueError, match="out of range"):
+            layer_probabilities(P3, SymmetricWeight.uniform(bunkbed(P3), F(1, 2)), x, y)
+
+    def test_saved_delta_rechecks_to_its_recorded_values(self, tmp_path):
+        for base, (x, y) in ((K4_CHAIN_2, (5, 1)), (C5, (2, 2)), (TWO_COMPONENTS, (0, 3))):
+            w = _layer_weights(base, seed=5)[0]
+            d = bunkbed_delta(base, w, x, y)
+            assert (d.same_layer, d.cross_layer) == _two_solves(base, w, x, y)
+            recorded, recomputed = recheck_violation(save_violation(d, tmp_path))
+            assert (recomputed.same_layer, recomputed.cross_layer, recomputed.delta) == (
+                recorded.same_layer, recorded.cross_layer, recorded.delta,
+            ) == (d.same_layer, d.cross_layer, d.delta)
 
 
 class TestWeightSource:

@@ -147,6 +147,18 @@ class TestCheck:
         payload = json.loads(capsys.readouterr().out)
         assert len(payload["pairs"]) == 1
 
+    def test_pair_not_an_integer_exit_2(self, p3_files, capsys):
+        g, _ = p3_files
+        with pytest.raises(SystemExit) as exc:
+            main(["check", g, "--pair", "a", "1"])
+        assert exc.value.code == 2
+        assert "--pair" in capsys.readouterr().err
+
+    def test_pair_out_of_range_exit_4(self, p3_files, capsys):
+        g, _ = p3_files
+        assert main(["check", g, "--weights", "grid:1/2", "--pair", "0", "7"]) == 4
+        assert "vertex 7 out of range" in capsys.readouterr().err
+
     def test_seeded_random_reproducible(self, p3_files, capsys):
         g, _ = p3_files
         main(["check", g, "--weights", "random:3", "--seed", "42"])
