@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 a bunkbed violation was found, 2 parse error,
-3 enumeration cap or family bound exceeded, 4 precondition failed.
+3 enumeration cap or family bound exceeded, 4 precondition failed,
+141 standard output closed early (as 128 + SIGPIPE).
 Rationals are printed as num/den; decimals are labeled approximations.
 """
 
@@ -51,6 +52,7 @@ EXIT_VIOLATION = 1
 EXIT_PARSE = 2
 EXIT_CAP = 3
 EXIT_PRECONDITION = 4
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE
 
 
 class EnvironmentParseError(ValueError):
@@ -233,13 +235,13 @@ def _cmd_trees(args) -> int:
 def _cmd_search(args) -> int:
     cfg = _config_from(args)
     source = _parse_weight_source(args.weights, cfg.seed)
+    # built up front, so an order past the bound is refused before any report
+    trees = [t for n in range(1, args.trees + 1) for t in enumerate_trees(n)]
 
     def candidates():
         for path in args.graphs:
             yield parse_graph(Path(path).read_text())
-        if args.trees:
-            for n in range(1, args.trees + 1):
-                yield from enumerate_trees(n, bound=max(args.trees, DEFAULT_TREE_BOUND))
+        yield from trees
 
     found = False
     for report in search_candidates(
@@ -312,7 +314,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("search", help="stream inequality checks over candidate graphs")
     p.add_argument("graphs", nargs="*", help="graph files")
-    p.add_argument("--trees", type=int, default=0, help="also check all trees up to this order")
+    p.add_argument("--trees", type=int, default=0,
+                   help=f"also check all trees up to this order (at most {DEFAULT_TREE_BOUND})")
     p.add_argument("--weights", default=None)
     p.add_argument("--two-connected-only", action="store_true",
                    help="skip candidates that are not 2-connected")
@@ -327,7 +330,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe surfaces here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader went away: silence the flush at exit, end as SIGPIPE would
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except (GraphParseError, WeightParseError, EnvironmentParseError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
+import networkx as nx
 import numpy as np
 
 from bunkbed.graphs import Graph, bunkbed
@@ -113,6 +114,58 @@ def canonical_edge_set(n: int, edges) -> tuple:
         if best is None or r < best:
             best = r
     return best
+
+
+def first_trees_by_pruefer(n: int) -> list[tuple[int, tuple]]:
+    """The first labeled tree of each isomorphism class in lexicographic
+    Pruefer order, as (vertex count, sorted-pair edges), from a full scan.
+
+    All n^(n-2) sequences are decoded at once with the textbook rule (the
+    smallest current leaf, found by a scan rather than a heap), and each
+    tree is keyed by the multiset of its vertices' sorted distance rows
+    (Floyd-Warshall over the whole batch) rather than by a rooted encoding.
+    That key is an isomorphism invariant; it separates every class because
+    it takes as many values as networkx counts trees, which is checked.
+    """
+    if n == 1:
+        return [(1, ())]
+    count = n ** (n - 2)
+    rows = np.arange(count)
+    seqs = np.empty((count, n - 2), dtype=np.int64)
+    degree = np.ones((count, n), dtype=np.int8)
+    for k in range(n - 2):
+        seqs[:, k] = rows // n ** (n - 3 - k) % n
+        degree[rows, seqs[:, k]] += 1
+    edges = np.empty((count, n - 1, 2), dtype=np.int64)
+    for k in range(n - 2):
+        leaf = np.argmax(degree == 1, axis=1)
+        edges[:, k, 0] = np.minimum(leaf, seqs[:, k])
+        edges[:, k, 1] = np.maximum(leaf, seqs[:, k])
+        degree[rows, leaf] = 0
+        degree[rows, seqs[:, k]] -= 1
+    last = degree == 1
+    edges[:, n - 2, 0] = np.argmax(last, axis=1)
+    edges[:, n - 2, 1] = n - 1 - np.argmax(last[:, ::-1], axis=1)
+
+    dist = np.full((count, n, n), 63, dtype=np.int8)  # 63 + 63 still fits
+    dist[:, range(n), range(n)] = 0
+    for k in range(n - 1):
+        dist[rows, edges[:, k, 0], edges[:, k, 1]] = 1
+        dist[rows, edges[:, k, 1], edges[:, k, 0]] = 1
+    for k in range(n):
+        dist = np.minimum(dist, dist[:, :, k, None] + dist[:, None, k, :])
+    dist.sort(axis=2)
+    digits = np.zeros((count, n), dtype=np.int64)
+    for j in range(n):
+        digits = digits * n + dist[:, :, j]
+    keys = np.sort(digits, axis=1)
+    order = np.lexsort(keys.T[::-1])  # stable: a class's first tree leads its run
+    keys = keys[order]
+    first = order[np.r_[True, (keys[1:] != keys[:-1]).any(axis=1)]]
+    assert len(first) == nx.number_of_nonisomorphic_trees(n)
+    return [
+        (n, tuple((int(u), int(v)) for u, v in edges[i])) for i in sorted(first)
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from bunkbed.checker import (
     BoundExceededError,
     BunkbedDelta,
     WeightSource,
+    _free_tree_count,
     bunkbed_delta,
     check_graph,
     enumerate_trees,
@@ -345,8 +346,19 @@ class TestEnumerateTrees:
             assert not isinstance(info.value, BoundExceededError)
         assert len(enumerate_trees(8)) == 23
 
-    def test_deterministic_order(self):
-        assert [t.edges for t in enumerate_trees(6)] == [t.edges for t in enumerate_trees(6)]
+    def test_first_of_each_class_in_pruefer_order(self):
+        # the early stop returns exactly what a scan of every sequence does
+        from oracles import first_trees_by_pruefer
+
+        for n in range(1, 9):
+            got = [(t.vertex_count, t.edges) for t in enumerate_trees(n)]
+            assert got == first_trees_by_pruefer(n), n
+
+    def test_free_tree_count_matches_networkx(self):
+        import networkx as nx
+
+        for n in range(1, 21):
+            assert _free_tree_count(n) == nx.number_of_nonisomorphic_trees(n), n
 
 
 class TestSearch:

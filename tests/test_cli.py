@@ -262,6 +262,13 @@ class TestSearch:
         assert len(lines) == 1 + 1 + 1 + 2 + 3
         assert all(r["method"] == "skipped" for r in lines)
 
+    def test_trees_above_bound_exit_3(self, capsys):
+        # refused up front, as `trees 9` is, not after streaming the small trees
+        assert main(["search", "--trees", "9", "--weights", "grid:1/2"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "outside [1, 8]" in captured.err
+
 
 class TestInputEdges:
     @pytest.mark.parametrize("source", ["grid:abc", "grid:1/0", "grid:", "random:", "random:x", "random:2:4:8"])
@@ -301,3 +308,18 @@ def test_cli_imports_without_numpy():
         env=env, capture_output=True, text=True, timeout=60, check=True,
     )
     assert done.stdout.strip() == "False"
+
+
+def test_closed_pipe_exits_141_without_traceback():
+    # about 147 KB of reports, more than the pipe and stdout buffers hold, so
+    # the child is still writing when the reader closes after one line
+    env = dict(os.environ, PYTHONPATH=str(Path(bunkbed.__file__).resolve().parent.parent))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "bunkbed.cli", "search", "--trees", "8", "--weights", "grid:1/2"],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline().startswith(b"{")
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 141
+    assert b"Traceback" not in err
