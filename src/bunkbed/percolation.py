@@ -25,9 +25,13 @@ are marginalized analytically.
 
 Which entry flows into which depends on the graph, the terminals, the order
 and which branches some weight can take, never on the weights themselves.
-So a walk is compiled once into flat index arrays and cached, and each
-weight replays it as integer multiply-adds over plain lists: a repeated
-walk, or one over many weights, does the partition bookkeeping once.
+So a walk is compiled once into a plan and cached: per edge, the entries
+that start the next table under the whole, the closed and the open factor,
+then the entries that add into one already started, with forgetting folded
+into the same step.  Each weight's integer factors are read in one pass
+over its values, and the weight replays the plan step by step as integer
+multiply-adds over plain lists: a repeated walk, or one over many weights,
+does the partition bookkeeping once.
 """
 
 from __future__ import annotations
@@ -38,6 +42,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import islice
+from operator import itemgetter
 from typing import NamedTuple, Sequence
 
 from .graphs import BunkbedGraph, Graph, has_bunkbed_layout
@@ -77,7 +82,8 @@ class WeightParseError(ValueError):
 
 
 def _check_probability(value: Fraction, what: str) -> Fraction:
-    if not ZERO <= value <= ONE:
+    # a Fraction's denominator is positive, so integer bounds suffice
+    if not 0 <= value.numerator <= value.denominator:
         raise ValueError(f"{what} must lie in [0, 1], got {value}")
     return value
 
@@ -324,28 +330,34 @@ def _walk(
 
 
 class _Plan(NamedTuple):
-    """A compiled walk: each edge walked is one step, and each step reads
-    the next stretch of `indices`, the lengths of six runs and then the
-    runs.  The runs index the table before the step, and the table after it
-    lists, in order:
+    """A compiled walk, read step by step by _replay.
 
-    1. the entries the edge lies inside one component of, times its whole
-       denominator;
+    `steps` holds seven integers per edge walked: the position of the
+    edge's open numerator in a weight's factor list (its closed numerator
+    follows it), then the lengths of six runs that follow each other in
+    `indices`.  The runs index the table before the step, and the table
+    after it lists, in order, one entry started by each of:
+
+    1. the entries the edge's branches leave in one partition, times its
+       whole denominator: u and v already share a component, or forgetting
+       makes the closed and the opened outcome equal;
     2. the entries it closes, times its closed numerator;
-    3. the entries it opens into a partition not yet listed, times its open
-       numerator;
+    3. the entries it opens, times its open numerator.
 
-    and then (4) pairs (i, j): entry i opened adds into entry j.  When the
-    edge is the last of some vertices, forgetting them merges that table:
-    (5) lists the entries that start the merged table, and (6) pairs (i, j)
-    add entry i into the merged entry j; otherwise both runs are empty.  A
-    pair counts once in its run's length.  labels are the final table's terminal labels, states its peak
-    number of entries.
+    Then three runs of pairs (i, j), one per factor in the same order, add
+    entry i times that factor into entry j.  Forgetting is folded into the
+    step: an entry's label is read after the vertices whose last edge this
+    is are forgotten.  A run of pairs counts each pair once in `steps`.
+
+    `labels` are the final table's terminal labels, `states` its peak
+    number of entries before any forgetting, `width` the schedule's.
     """
 
+    steps: array
     indices: array
     labels: tuple[tuple[int, ...], ...]
     states: int
+    width: int
 
 
 class _Unretained(Exception):
@@ -353,18 +365,32 @@ class _Unretained(Exception):
     no result of a call that raises."""
 
 
+def _forget(lab: str, dropped: tuple[int, ...], gone: str) -> str:
+    """The label with the `dropped` vertices forgotten: a dropped vertex
+    that names its component passes the name on to the next live one."""
+    for x in dropped:
+        c = lab[x]
+        if c == chr(x):
+            y = lab.find(c, x + 1)
+            if y >= 0:
+                lab = lab.replace(c, chr(y))
+        lab = lab[:x] + gone + lab[x + 1:]
+    return lab
+
+
 def _compile(
     n: int,
     edges: tuple[tuple[int, int], ...],
     terminals: tuple[int, ...],
     schedule: _Schedule,
-    pattern: tuple[tuple[bool, bool], ...],
+    pattern: bytes,
 ) -> _Plan:
     """Walk the partitions once, recording each step as runs of indices.
 
-    pattern[k] tells whether edge k may open and whether it may close under
-    some weight; a branch no weight can take is never listed.  Raises
-    EnumerationCapError once a level's table passes STATE_CAP entries.
+    pattern[2k] and pattern[2k + 1] tell whether edge k may open and
+    whether it may close under some weight; a branch no weight can take is
+    never listed.  Raises EnumerationCapError once a level's table passes
+    STATE_CAP entries.
     """
     # character x of a label names the smallest live vertex of x's
     # component, so merging two components is one str.replace; a forgotten
@@ -372,120 +398,165 @@ def _compile(
     gone = chr(n)
     table = {"".join(map(chr, range(n))): 0}  # label -> index in the table
     states = 1
+    steps = array("I")
     indices = array("I")
     for k, dropped in zip(schedule.order, schedule.forget):
-        u, v = edges[k]
-        can_open, can_close = pattern[k]
-        runs = whole, closed, opened, adds, first, merges = [array("I") for _ in range(6)]
-        nxt: dict[str, int] = {}
-        for lab, i in table.items():
-            if lab[u] == lab[v]:
-                nxt[lab] = len(nxt)
-                whole.append(i)
-        if can_close:
-            for lab, i in table.items():
-                if lab[u] != lab[v]:
-                    nxt[lab] = len(nxt)
-                    closed.append(i)
-        if can_open:
-            get = nxt.get
-            for lab, i in table.items():
-                a, b = lab[u], lab[v]
-                if a == b:
-                    continue
-                key = lab.replace(b, a) if a < b else lab.replace(a, b)
-                j = get(key)
-                if j is None:
-                    nxt[key] = len(nxt)
-                    opened.append(i)
-                else:
-                    adds.extend((i, j))
-        states = max(states, len(nxt))
+        table, size, runs = _compile_step(
+            table, edges[k], dropped, gone, pattern[2 * k], pattern[2 * k + 1]
+        )
+        states = max(states, size)
         if states > STATE_CAP:
             raise EnumerationCapError(states, STATE_CAP, unit="states")
-        if dropped:
-            table = {}
-            for i, lab in enumerate(nxt):
-                for x in dropped:
-                    c = lab[x]
-                    if c == chr(x):  # x names its component: pass the name on
-                        y = lab.find(c, x + 1)
-                        if y >= 0:
-                            lab = lab.replace(c, chr(y))
-                    lab = lab[:x] + gone + lab[x + 1:]
-                j = table.get(lab)
-                if j is None:
-                    table[lab] = len(table)
-                    first.append(i)
-                else:
-                    merges.extend((i, j))
-        else:
-            table = nxt
-        header = len(whole), len(closed), len(opened), len(adds) // 2, len(first), len(merges) // 2
-        indices.extend(header)
+        starts, adds = runs[:3], runs[3:]
+        steps.extend((2 * k, *map(len, starts), *(len(run) // 2 for run in adds)))
         for run in runs:
             indices.extend(run)
-    labels = tuple(tuple(ord(lab[t]) for t in terminals) for lab in table)
-    return _Plan(indices, labels, states)
+    # one terminal: itemgetter picks a one-character str
+    pick = itemgetter(*terminals) if terminals else lambda lab: ""
+    labels = []
+    while table:  # emptied as it is read: the labels replace it, not add to it
+        labels.append(tuple(map(ord, pick(table.popitem()[0]))))
+    labels.reverse()
+    return _Plan(steps, indices, tuple(labels), states, schedule.width)
 
 
-@lru_cache(maxsize=256)
+def _compile_step(
+    table: dict[str, int],
+    edge: tuple[int, int],
+    dropped: tuple[int, ...],
+    gone: str,
+    can_open: int,
+    can_close: int,
+) -> tuple[dict[str, int], int, tuple[array, ...]]:
+    """One step of _compile: the next table, its number of entries before
+    forgetting, and the step's six runs (see _Plan)."""
+    u, v = edge
+    whole, closed, opened, add_whole, add_closed, add_opened = runs = tuple(
+        array("I") for _ in range(6)
+    )
+    nxt: dict[str, int] = {}  # label after forgetting -> index
+    joined = {}  # when forgetting: label u and v share, before -> after
+    shut = 0  # entries closed
+    # forgetting u (or v) while it is alone leaves one label whether the
+    # edge opens or closes: such an entry takes the whole factor
+    alone_u = can_open and can_close and u in dropped
+    alone_v = can_open and can_close and v in dropped
+    for lab, i in table.items():
+        a, b = lab[u], lab[v]
+        if a == b:
+            key = lab
+            if dropped:
+                joined[lab] = key = _forget(lab, dropped, gone)
+        elif alone_u and lab.count(a) == 1 or alone_v and lab.count(b) == 1:
+            shut += 1
+            key = _forget(lab, dropped, gone)
+            joined.setdefault(lab.replace(b, a) if a < b else lab.replace(a, b), key)
+        else:
+            continue
+        j = nxt.get(key)
+        if j is None:
+            nxt[key] = len(nxt)
+            whole.append(i)
+        else:
+            add_whole.extend((i, j))
+    if can_close:
+        for lab, i in table.items():
+            a, b = lab[u], lab[v]
+            if a == b or alone_u and lab.count(a) == 1 or alone_v and lab.count(b) == 1:
+                continue
+            shut += 1
+            key = _forget(lab, dropped, gone) if dropped else lab
+            j = nxt.get(key)
+            if j is None:
+                nxt[key] = len(nxt)
+                closed.append(i)
+            else:
+                add_closed.extend((i, j))
+    if can_open:
+        for lab, i in table.items():
+            a, b = lab[u], lab[v]
+            if a == b or alone_u and lab.count(a) == 1 or alone_v and lab.count(b) == 1:
+                continue
+            key = lab.replace(b, a) if a < b else lab.replace(a, b)
+            if dropped:
+                after = joined.get(key)
+                if after is None:
+                    joined[key] = after = _forget(key, dropped, gone)
+                key = after
+            j = nxt.get(key)
+            if j is None:
+                nxt[key] = len(nxt)
+                opened.append(i)
+            else:
+                add_opened.extend((i, j))
+    # before forgetting, the table held the joined labels and the closed ones
+    return nxt, len(joined) + shut if dropped else len(nxt), runs
+
+
+@lru_cache(maxsize=1024)
 def _cached_plan(
     n: int,
     edges: tuple[tuple[int, int], ...],
     terminals: tuple[int, ...],
-    schedule: _Schedule,
-    pattern: tuple[tuple[bool, bool], ...],
+    pattern: bytes,
 ) -> _Plan:
-    """The compiled walk, kept while it holds at most STATE_CAP indices
-    (4 bytes each); a larger one leaves in _Unretained."""
-    plan = _compile(n, edges, terminals, schedule, pattern)
-    if len(plan.indices) > STATE_CAP:
+    """The compiled walk in the schedule's order, kept while it holds at
+    most STATE_CAP // 4 indices (2 MB); a larger one leaves in _Unretained."""
+    plan = _compile(n, edges, terminals, _edge_schedule(n, edges, terminals), pattern)
+    if len(plan.indices) > STATE_CAP // 4:
         raise _Unretained(plan)
     return plan
 
 
-def _replay(plan: _Plan, factors: list[tuple[int, int]]) -> list[int]:
+def _replay(plan: _Plan, factors: list[int]) -> list[int]:
     """The numerators of a compiled walk's final table under one weight,
-    factors[s] holding the open and the closed numerator of step s's edge."""
+    factors[2k] and factors[2k + 1] holding the open and the closed
+    numerator of edge k."""
     run = iter(plan.indices)
     pairs = zip(run, run)  # consecutive indices (i, j)
+    step = iter(plan.steps)
     nums = [1]
-    for o, c in factors:
-        whole, closed, opened, adds, first, merges = islice(run, 6)
+    for k, whole, closed, opened, add_whole, add_closed, add_opened in zip(
+        step, step, step, step, step, step, step
+    ):
+        o = factors[k]
+        c = factors[k + 1]
         w = o + c
         nxt = [nums[i] * w for i in islice(run, whole)]
-        nxt += [nums[i] * c for i in islice(run, closed)]
-        nxt += [nums[i] * o for i in islice(run, opened)]
-        for i, j in islice(pairs, adds):
-            nxt[j] += nums[i] * o
-        if first:
-            nums = [nxt[i] for i in islice(run, first)]
-            for i, j in islice(pairs, merges):
-                nums[j] += nxt[i]
-        else:
-            nums = nxt
+        if closed:
+            nxt += [nums[i] * c for i in islice(run, closed)]
+        if opened:
+            nxt += [nums[i] * o for i in islice(run, opened)]
+        if add_whole:
+            for i, j in islice(pairs, add_whole):
+                nxt[j] += nums[i] * w
+        if add_closed:
+            for i, j in islice(pairs, add_closed):
+                nxt[j] += nums[i] * c
+        if add_opened:
+            for i, j in islice(pairs, add_opened):
+                nxt[j] += nums[i] * o
+        nums = nxt
     return nums
 
 
 def _partition_numerators(
     n: int,
     edges: tuple[tuple[int, int], ...],
-    factors: Sequence[tuple[tuple[int, ...], tuple[int, ...]]],
-    count: int,
+    factors: list[list[int]],
     terminals: tuple[int, ...],
-    schedule: _Schedule,
-) -> tuple[list[tuple[int, ...]], list[list[int]], int]:
+) -> tuple[list[tuple[int, ...]], list[list[int]], _Plan]:
     """The exact integer numerator of every partition of the terminals into
     open components.
 
     The one enumeration of the package.  An atom opens or closes each of
-    the m `edges`; factors[i] holds the open and the closed numerator of
-    edge i under each of `count` weights.  Returns the partitions, each as
-    the smallest terminal of every terminal's component, one column of
-    numerators per weight, and the peak number of table entries.  Raises
-    EnumerationCapError when a level's table passes STATE_CAP entries: while
-    the walk is compiled, and by its peak on every replay of a cached plan.
+    the m `edges`; factors[c] holds weight c's open and closed numerators
+    of edge k at 2k and 2k + 1.  Returns the partitions, each as the
+    smallest terminal of every terminal's component, one column of
+    numerators per weight, and the plan, which carries the peak number of
+    table entries and the width.  Raises EnumerationCapError when a level's
+    table passes STATE_CAP entries: while the walk is compiled, and by its
+    peak on every replay of a cached plan.
 
     The edges are walked in the schedule's order, keeping one entry per
     partition of the live vertices: all atoms whose edges so far leave the
@@ -499,27 +570,25 @@ def _partition_numerators(
 
     Which entries go where depends on the graph, the terminals, the
     schedule and which branches some weight can take, not on the weights:
-    that bookkeeping is compiled once into an index array (_compile) and
+    that bookkeeping is compiled once into index arrays (_compile) and
     cached, and each weight replays it as integer multiply-adds (_replay).
     """
-    pattern = tuple((any(opens), any(closeds)) for opens, closeds in factors)
+    pattern = bytes(map(any, zip(*factors)))
     try:
-        plan = _cached_plan(n, edges, terminals, schedule, pattern)
+        plan = _cached_plan(n, edges, terminals, pattern)
     except _Unretained as big:
         plan = big.args[0]
     if plan.states > STATE_CAP:
         raise EnumerationCapError(plan.states, STATE_CAP, unit="states")
-    walked = [factors[k] for k in schedule.order]
-    columns = [
-        _replay(plan, [(opens[c], closeds[c]) for opens, closeds in walked])
-        for c in range(count)
-    ]
-    if columns and 0 not in columns[0]:
-        return list(plan.labels), columns, plan.states
-    # drop the partitions no weight can reach
-    live = [i for i, nums in enumerate(zip(*columns)) if any(nums)]
-    labels = [plan.labels[i] for i in live]
-    return labels, [[col[i] for i in live] for col in columns], plan.states
+    columns = [_replay(plan, col) for col in factors]
+    # one weight takes only branches whose factors are positive, so every
+    # entry is; in a batch, an entry reached through the branches of
+    # different weights can be 0 under all of them: drop it
+    if len(columns) > 1 and 0 in columns[0]:
+        live = [i for i, nums in enumerate(zip(*columns)) if any(nums)]
+        labels = [plan.labels[i] for i in live]
+        return labels, [[col[i] for i in live] for col in columns], plan
+    return list(plan.labels), columns, plan
 
 
 def _enumerated_edges(graph: Graph, restriction, cap: int) -> list[int]:
@@ -538,23 +607,24 @@ def _distributions(
     terminals: tuple[int, ...],
 ) -> list[ConnectivityDistribution]:
     """Run the kernel over `edges` for every weight at once."""
-    factors = []
-    denominators = [1] * len(weights)
-    for e in edges:
-        values = [w.values[e] for w in weights]
-        factors.append((
-            tuple(p.numerator for p in values),
-            tuple(p.denominator - p.numerator for p in values),
-        ))
-        denominators = [d * p.denominator for d, p in zip(denominators, values)]
-    pairs = tuple(graph.edges[e] for e in edges)
-    schedule = _edge_schedule(graph.vertex_count, pairs, terminals)
-    labels, columns, states = _partition_numerators(
-        graph.vertex_count, pairs, factors, len(weights), terminals, schedule
-    )
+    factors = []  # per weight: open and closed numerator of each edge
+    denominators = []
+    for w in weights:
+        col = []
+        d = 1
+        for p in map(w.values.__getitem__, edges):
+            a, b = p.as_integer_ratio()
+            col += a, b - a
+            d *= b
+        factors.append(col)
+        denominators.append(d)
+    if not factors:
+        return []
+    pairs = tuple(map(graph.edges.__getitem__, edges))
+    labels, columns, plan = _partition_numerators(graph.vertex_count, pairs, factors, terminals)
     return [
         ConnectivityDistribution(
-            graph, restriction, labels, nums, d, terminals, schedule.width, states
+            graph, restriction, labels, nums, d, terminals, plan.width, plan.states
         )
         for nums, d in zip(columns, denominators)
     ]

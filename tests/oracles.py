@@ -106,6 +106,61 @@ def naive_event_probability(w: Weight, positive=(), negative=(), restriction=Non
     return total
 
 
+def naive_terminal_distribution(w: Weight, terminals) -> dict[frozenset, Fraction]:
+    """The measure of each partition of `terminals` into open components,
+    as a set of blocks, by a direct Fraction sum over all edge subsets;
+    partitions of measure 0 are left out."""
+    g = w.graph
+    out: dict[frozenset, Fraction] = {}
+    for r in range(g.edge_count + 1):
+        for combo in itertools.combinations(range(g.edge_count), r):
+            p = Fraction(1)
+            for e in range(g.edge_count):
+                p *= w.values[e] if e in combo else 1 - w.values[e]
+            if not p:
+                continue
+            open_edges = [g.edges[e] for e in combo]
+            reach = {s: bfs_reachable(g.vertex_count, open_edges, [s]) for s in terminals}
+            blocks = frozenset(frozenset(t for t in terminals if t in reach[s]) for s in terminals)
+            out[blocks] = out.get(blocks, Fraction(0)) + p
+    return out
+
+
+def frontier_counts(n: int, walk, terminals, branches) -> tuple[int, int]:
+    """(width, states) of a walk that takes the edges `walk` in order, where
+    branches[s] tells whether the s-th edge may open and may close.
+
+    A non-terminal vertex is forgotten after the last edge it lies on.  The
+    width is the most vertices met and not yet forgotten while an edge is
+    taken; the states are the most partitions of the vertices not yet
+    forgotten, over every subset of the edges taken so far that respects
+    the branches (at least 1).  Found here by listing the subsets.
+    """
+    last = {}
+    for s, edge in enumerate(walk):
+        for x in edge:
+            last[x] = s
+    width, states = 0, 1
+    for s in range(len(walk)):
+        forgotten = {x for x, t in last.items() if t < s and x not in terminals}
+        met = {x for edge in walk[: s + 1] for x in edge}
+        width = max(width, len(met - forgotten))
+        kept = [x for x in range(n) if x not in forgotten]
+        choices = [
+            [bit for bit, allowed in ((True, may_open), (False, may_close)) if allowed]
+            for may_open, may_close in branches[: s + 1]
+        ]
+        partitions = set()
+        for bits in itertools.product(*choices):
+            open_edges = [edge for edge, bit in zip(walk, bits) if bit]
+            partitions.add(frozenset(
+                frozenset(y for y in bfs_reachable(n, open_edges, [x]) if y in kept)
+                for x in kept
+            ))
+        states = max(states, len(partitions))
+    return width, states
+
+
 def canonical_edge_set(n: int, edges) -> tuple:
     """Minimum edge-set representation over all vertex permutations."""
     best = None

@@ -27,7 +27,12 @@ from bunkbed.percolation import (
     sum_over_all_atoms,
 )
 
-from oracles import BunkbedGridOracle, naive_event_probability
+from oracles import (
+    BunkbedGridOracle,
+    frontier_counts,
+    naive_event_probability,
+    naive_terminal_distribution,
+)
 
 F = Fraction
 
@@ -251,6 +256,114 @@ class TestKernelAgainstOracle:
             "no edges", "isolated vertex", "restriction", "negative pair", "below 2^62", "at least 2^62",
         }
 
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(0, 6), data=st.data())
+    def test_distribution_states_and_width_match_the_oracles(self, n, data):
+        # 1-3 weight columns valued in {0, 1/3, 1/2, 1}, so a batch's
+        # columns may take different branches of one edge; at most 10
+        # edges, since the oracles list every edge subset
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        edges = []
+        if pairs:
+            edges = data.draw(st.lists(st.sampled_from(pairs), unique=True, max_size=10))
+        g = Graph(n, tuple(edges))
+        m = g.edge_count
+        value = st.sampled_from([F(0), F(1, 3), F(1, 2), F(1)])
+        weights = [
+            Weight(g, tuple(data.draw(st.lists(value, min_size=m, max_size=m))))
+            for _ in range(data.draw(st.integers(1, 3)))
+        ]
+        terminals = tuple(sorted(data.draw(st.sets(st.integers(0, max(n - 1, 0)), max_size=n))))
+        dists = connectivity_distributions(g, weights, terminals=terminals)
+        order = percolation._edge_schedule(n, g.edges, terminals).order
+        branches = [
+            (any(w.values[k] > 0 for w in weights), any(w.values[k] < 1 for w in weights))
+            for k in order
+        ]
+        width, states = frontier_counts(n, [g.edges[k] for k in order], terminals, branches)
+        for w, dist in zip(weights, dists):
+            assert (dist.width, dist.states) == (width, states)
+            got = {}
+            for lab, num in zip(dist.labels, dist.numerators):
+                if num:
+                    blocks = frozenset(
+                        frozenset(t for k, t in enumerate(terminals) if lab[k] == root)
+                        for root in lab
+                    )
+                    got[blocks] = got.get(blocks, 0) + F(num, dist.denominator)
+            assert got == naive_terminal_distribution(w, terminals)
+
+
+class TestKernelEdges:
+    """Inputs at the edges of the kernel, each pinned to its value."""
+
+    def test_no_weights(self):
+        assert connectivity_distributions(P3, []) == []
+        assert connectivity_distributions(P3, [], terminals=(0, 2)) == []
+
+    def test_edgeless_and_empty_graphs(self):
+        three = Weight(Graph(3, ()), ())
+        dist = connectivity_distribution(three, terminals=(0, 2))
+        assert (dist.labels, dist.numerators, dist.denominator) == ([(0, 2)], [1], 1)
+        assert (dist.width, dist.states) == (0, 1)
+        assert event_probability(three, ConnectivitySpec.connected(0, 2)).value == 0
+        assert event_probability(three, ConnectivitySpec.connected(1, 1)).value == 1
+        empty = Weight(Graph(0, ()), ())
+        dist = connectivity_distribution(empty)
+        assert (dist.labels, dist.numerators, dist.denominator) == ([()], [1], 1)
+        assert event_probability(empty, ConnectivitySpec()).value == 1
+
+    def test_all_zero_and_all_one_weights(self):
+        g = cycle(5)
+        closed = connectivity_distribution(Weight.uniform(g, 0))
+        assert (closed.labels, closed.numerators, closed.states) == ([(0, 1, 2, 3, 4)], [1], 1)
+        opened = connectivity_distribution(Weight.uniform(g, 1))
+        assert (opened.labels, opened.numerators, opened.states) == ([(0, 0, 0, 0, 0)], [1], 1)
+        for p, want in ((0, 0), (1, 1)):
+            spec = ConnectivitySpec.connected(0, 2)
+            assert event_probability(Weight.uniform(g, p), spec).value == want
+
+    def test_a_batch_whose_columns_take_different_branches(self):
+        # edge 0 is 0 in one column and 1 in the other: both branches are
+        # walked, and each column keeps only the partitions it reaches
+        closed = Weight(P3, (F(0), F(1, 2)))
+        opened = Weight(P3, (F(1), F(1, 2)))
+        first, second = connectivity_distributions(P3, [closed, opened])
+        assert first.labels is second.labels
+        assert dict(zip(first.labels, first.numerators)) == {
+            (0, 1, 1): 1, (0, 1, 2): 1, (0, 0, 0): 0, (0, 0, 2): 0,
+        }
+        assert dict(zip(second.labels, second.numerators)) == {
+            (0, 1, 1): 0, (0, 1, 2): 0, (0, 0, 0): 1, (0, 0, 2): 1,
+        }
+        assert first.states == second.states == 4
+        assert (first.connection(0, 2), second.connection(0, 2)) == (0, F(1, 2))
+
+    def test_empty_negative_only_and_same_vertex_specs(self):
+        w = Weight.uniform(TRIANGLE, F(1, 3))
+        assert event_probability(w, ConnectivitySpec()).value == 1
+        apart = ConnectivitySpec(negative=((0, 1),))
+        assert event_probability(w, apart).value == naive_event_probability(w, (), ((0, 1),))
+        assert event_probability(w, apart).value == F(2, 3) * F(8, 9)
+        assert event_probability(w, ConnectivitySpec.connected(2, 2)).value == 1
+        assert event_probability(w, ConnectivitySpec(negative=((2, 2),))).value == 0
+
+    def test_labels_past_chr_255(self):
+        # a path on 300 vertices: the kernel names vertices by chr, so its
+        # labels reach past chr(255); the closed form is a product of edges
+        n = 300
+        w = Weight.uniform(Graph(n, tuple((i, i + 1) for i in range(n - 1))), F(1, 2))
+        dist = connectivity_distribution(w, terminals=(0, 260, 299), cap=n)
+        near, far = F(1, 2**260), F(1, 2**39)
+        assert dict(zip(dist.labels, (F(x, dist.denominator) for x in dist.numerators))) == {
+            (0, 260, 299): (1 - near) * (1 - far),
+            (0, 0, 299): near * (1 - far),
+            (0, 260, 260): (1 - near) * far,
+            (0, 0, 0): near * far,
+        }
+        spec = ConnectivitySpec.connected(0, 299)
+        assert event_probability(w, spec, cap=n).value == near * far
+
 
 class TestCompiledWalk:
     """The kernel compiles a walk once per graph, terminals, schedule and
@@ -336,6 +449,20 @@ class TestCompiledWalk:
         assert first.labels == second.labels and first.labels is not second.labels
         first.labels.clear()
         assert connectivity_distribution(w).labels == second.labels
+
+    def test_distinct_small_plans_are_compiled_once(self):
+        # 400 plans, more than the 256 an older cache held: cycling them
+        # twice compiles each once
+        plans = 400
+        graphs = [Graph(k + 2, ((0, 1),)) for k in range(plans)]
+        percolation._cached_plan.cache_clear()
+        with mock.patch.object(percolation, "_compile", wraps=percolation._compile) as compile_:
+            for _ in range(2):
+                for g in graphs:
+                    dist = connectivity_distribution(Weight.uniform(g, F(1, 3)), terminals=(0, 1))
+                    assert dist.connection(0, 1) == F(1, 3)
+        assert compile_.call_count == plans
+        assert percolation._cached_plan.cache_info().currsize == plans
 
     def test_a_plan_past_the_retain_bound_is_replayed_and_dropped(self, monkeypatch):
         # the C6 event's plan holds far more index entries than its peak
@@ -450,9 +577,14 @@ class TestTerminalDistributions:
         greedy_dist = connectivity_distribution(w, terminals=terminals)
         greedy = event_probability(w, spec).value
         shuffled = lambda n, edges, terminals: percolation._walk(edges, terminals, order)
+        # the plan cache is keyed by graph, terminals and branches, not by
+        # the order: clear it so the shuffled order is compiled, and again
+        # so its plans do not outlive the patch
+        percolation._cached_plan.cache_clear()
         with mock.patch.object(percolation, "_edge_schedule", shuffled):
             dist = connectivity_distribution(w, terminals=terminals)
             value = event_probability(w, spec).value
+        percolation._cached_plan.cache_clear()
         assert value == greedy
         assert nonzero(dist) == nonzero(greedy_dist)
 
