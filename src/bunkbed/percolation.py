@@ -32,6 +32,17 @@ into the same step.  Each weight's integer factors are read in one pass
 over its values, and the weight replays the plan step by step as integer
 multiply-adds over plain lists: a repeated walk, or one over many weights,
 does the partition bookkeeping once.
+
+When swapping the layers (x -> x ± n/2) maps the walk to itself, as on a
+bunkbed whose weight gives both copies of each edge the same value and
+whose terminals come in both layers, the table keeps one representative
+partition per orbit of the swap, which halves it.  Such a walk takes each
+edge together with its image in one pair step, a post on its own, and
+follows both members of an orbit through every joint outcome.  Each
+orbit's numerator is then given to both its partitions, so callers see
+the same distribution over partitions of the terminals.  It walks so only
+where its front, which the swap maps to itself, is no wider than the
+ordinary order's; there STATE_CAP counts orbits.
 """
 
 from __future__ import annotations
@@ -329,32 +340,92 @@ def _walk(
     return _Schedule(tuple(order), tuple(map(tuple, forget)), width)
 
 
+def _layer_swap(
+    n: int, edges: tuple[tuple[int, int], ...], terminals: tuple[int, ...], factors
+) -> int:
+    """h = n/2 when the kernel walks over orbits of the layer swap
+    x -> x ± h (see _swap_walk): the swap maps the edges and the terminals
+    to themselves, and every weight gives an edge and its image the same
+    factors.  0, the identity, otherwise."""
+    h = n // 2
+    if n % 2 or terminals != tuple(sorted((t + h) % n for t in terminals)):
+        return 0
+    walk = _swap_walk(n, edges, terminals)
+    if walk is None:
+        return 0
+    mirror = walk[0]
+    for col in factors:
+        if list(mirror(col)) != col:
+            return 0
+    return h
+
+
+@lru_cache(maxsize=256)
+def _swap_walk(n: int, edges: tuple[tuple[int, int], ...], terminals: tuple[int, ...]):
+    """For edges with the layout graphs.bunkbed gives, closed under the
+    layer swap x -> x ± n/2, and swap-closed terminals: an itemgetter that
+    reads a factor list at each edge's image, and the schedule of a walk
+    over the swap's orbits.  That schedule is the layer-paired candidate
+    order with each edge's image moved up right behind it.  None when no
+    such walk exists, or when its front is wider than the ordinary
+    schedule's: a front the swap maps to itself can need a vertex more,
+    and a vertex more can cost more than the halving saves.
+    """
+    if not n or not has_bunkbed_layout(n, edges):
+        return None
+    h = n // 2
+    index = {e: k for k, e in enumerate(edges)}
+    images = []
+    for u, v in edges:
+        a, b = (u + h) % n, (v + h) % n
+        k = index.get((a, b) if a < b else (b, a))
+        if k is None:
+            return None
+        images.append(k)
+    order = []
+    for k in _candidate_orders(n, edges, terminals)[1]:
+        if k not in order:
+            order += (k,) if images[k] == k else (k, images[k])
+    schedule = _walk(edges, terminals, order)
+    if schedule.width > _edge_schedule(n, edges, terminals).width:
+        return None
+    return itemgetter(*(p for k in images for p in (2 * k, 2 * k + 1))), schedule
+
+
 class _Plan(NamedTuple):
-    """A compiled walk, read step by step by _replay.
+    """A compiled walk, read record by record by _replay.
 
-    `steps` holds seven integers per edge walked: the position of the
-    edge's open numerator in a weight's factor list (its closed numerator
-    follows it), then the lengths of six runs that follow each other in
-    `indices`.  The runs index the table before the step, and the table
-    after it lists, in order, one entry started by each of:
+    `steps` holds seven integers per record: a head, then the lengths of
+    six runs that follow each other in `indices`.  A step over edge k alone
+    is one record with head 2k; its factors are w, c and o, the edge's
+    whole denominator, closed and open numerator (a weight's factor list
+    holds o at 2k and c after it).  A step over edge k and its image under
+    the layer swap is two records with head 2k + 1, whose factors are w²,
+    wc, wo, then c², co, o²: both edges have the same factors.  The runs
+    index the table before the step, and the table after it lists, in
+    order, one entry started by each index of a record's first three runs,
+    times the record's first, second and third factor; a step's second
+    record goes on with the list its first began.  Then three runs of
+    pairs (i, j), one per factor in the same order, add entry i times that
+    factor into entry j.  A run of pairs counts each pair once in `steps`.
 
-    1. the entries the edge's branches leave in one partition, times its
-       whole denominator: u and v already share a component, or forgetting
-       makes the closed and the opened outcome equal;
-    2. the entries it closes, times its closed numerator;
-    3. the entries it opens, times its open numerator.
+    An outcome takes the factor w for an edge whose branches leave one
+    partition (u and v already share a component, or forgetting makes the
+    closed and the opened outcome equal), c or o where it closes or opens
+    the edge.  Forgetting is folded into the step: an entry's label is
+    read after the vertices whose last edge this is are forgotten.
 
-    Then three runs of pairs (i, j), one per factor in the same order, add
-    entry i times that factor into entry j.  Forgetting is folded into the
-    step: an entry's label is read after the vertices whose last edge this
-    is are forgotten.  A run of pairs counts each pair once in `steps`.
-
-    `labels` are the final table's terminal labels, `states` its peak
-    number of entries before any forgetting, `width` the schedule's.
+    On a walk over orbits of the layer swap each entry stands for one
+    orbit, and `expand` lists, for every partition of the terminals, the
+    entry of its orbit; an ordinary walk's `expand` is empty.  `labels`
+    are the final partitions' terminal labels, `states` the peak number of
+    entries (on an ordinary walk, before any forgetting), `width` the
+    schedule's.
     """
 
     steps: array
     indices: array
+    expand: array
     labels: tuple[tuple[int, ...], ...]
     states: int
     width: int
@@ -378,12 +449,18 @@ def _forget(lab: str, dropped: tuple[int, ...], gone: str) -> str:
     return lab
 
 
+# a pair step's factor, by the outcomes of its edge and of the edge's image
+# (0 whole, 1 closed, 2 opened): 0 w², 1 wc, 2 wo, 3 c², 4 co, 5 o²
+_JOINT = ((0, 1, 2), (1, 3, 4), (2, 4, 5))
+
+
 def _compile(
     n: int,
     edges: tuple[tuple[int, int], ...],
     terminals: tuple[int, ...],
     schedule: _Schedule,
     pattern: bytes,
+    swap: int = 0,
 ) -> _Plan:
     """Walk the partitions once, recording each step as runs of indices.
 
@@ -391,106 +468,190 @@ def _compile(
     whether it may close under some weight; a branch no weight can take is
     never listed.  Raises EnumerationCapError once a level's table passes
     STATE_CAP entries.
+
+    swap is h for a walk over orbits of the layer swap x -> (x + h) mod n
+    (see _partition_numerators), whose schedule lists every edge but a post
+    (x, x + h) right before its image; 0 is the identity, the ordinary
+    walk, where every orbit is one partition and every edge a step.
     """
     # character x of a label names the smallest live vertex of x's
     # component, so merging two components is one str.replace; a forgotten
     # vertex holds `gone`, which names no component
     gone = chr(n)
-    table = {"".join(map(chr, range(n))): 0}  # label -> index in the table
+    start = "".join(map(chr, range(n)))
+    table = {start: 0}  # label -> index in the table
+    mirrors = {start: start} if swap else None  # label in the table -> its image
     states = 1
     steps = array("I")
     indices = array("I")
-    for k, dropped in zip(schedule.order, schedule.forget):
-        table, size, runs = _compile_step(
-            table, edges[k], dropped, gone, pattern[2 * k], pattern[2 * k + 1]
+    order, forget = schedule.order, schedule.forget
+    at = 0
+    while at < len(order):
+        k = order[at]
+        u, v = edges[k]
+        # a step walks one edge, or on a swap walk an edge and its image
+        span = order[at: at + (2 if swap and v - u != swap else 1)]
+        table, mirrors, size, runs = _compile_step(
+            table, mirrors, tuple(map(edges.__getitem__, span)), forget[at: at + len(span)],
+            gone, pattern[2 * k], pattern[2 * k + 1],
         )
+        at += len(span)
         states = max(states, size)
         if states > STATE_CAP:
             raise EnumerationCapError(states, STATE_CAP, unit="states")
-        starts, adds = runs[:3], runs[3:]
-        steps.extend((2 * k, *map(len, starts), *(len(run) // 2 for run in adds)))
-        for run in runs:
-            indices.extend(run)
+        for part in range(len(span)):
+            record = runs[6 * part: 6 * part + 6]
+            head = 2 * k + len(span) - 1
+            steps.extend((head, *map(len, record[:3]), *(len(run) // 2 for run in record[3:])))
+            for run in record:
+                indices.extend(run)
     # one terminal: itemgetter picks a one-character str
     pick = itemgetter(*terminals) if terminals else lambda lab: ""
     labels = []
+    expand = array("I")
     while table:  # emptied as it is read: the labels replace it, not add to it
-        labels.append(tuple(map(ord, pick(table.popitem()[0]))))
+        lab, i = table.popitem()
+        if swap and mirrors[lab] != lab:
+            labels.append(tuple(map(ord, pick(mirrors[lab]))))
+            expand.append(i)
+        labels.append(tuple(map(ord, pick(lab))))
+        if swap:
+            expand.append(i)
     labels.reverse()
-    return _Plan(steps, indices, tuple(labels), states, schedule.width)
+    expand.reverse()
+    return _Plan(steps, indices, expand, tuple(labels), states, schedule.width)
 
 
 def _compile_step(
     table: dict[str, int],
-    edge: tuple[int, int],
-    dropped: tuple[int, ...],
+    mirrors: dict[str, str] | None,
+    step: tuple[tuple[int, int], ...],
+    drops: tuple[tuple[int, ...], ...],
     gone: str,
     can_open: int,
     can_close: int,
-) -> tuple[dict[str, int], int, tuple[array, ...]]:
-    """One step of _compile: the next table, its number of entries before
-    forgetting, and the step's six runs (see _Plan)."""
-    u, v = edge
-    whole, closed, opened, add_whole, add_closed, add_opened = runs = tuple(
-        array("I") for _ in range(6)
-    )
-    nxt: dict[str, int] = {}  # label after forgetting -> index
-    joined = {}  # when forgetting: label u and v share, before -> after
-    shut = 0  # entries closed
-    # forgetting u (or v) while it is alone leaves one label whether the
-    # edge opens or closes: such an entry takes the whole factor
-    alone_u = can_open and can_close and u in dropped
-    alone_v = can_open and can_close and v in dropped
-    for lab, i in table.items():
-        a, b = lab[u], lab[v]
-        if a == b:
-            key = lab
-            if dropped:
-                joined[lab] = key = _forget(lab, dropped, gone)
-        elif alone_u and lab.count(a) == 1 or alone_v and lab.count(b) == 1:
-            shut += 1
-            key = _forget(lab, dropped, gone)
-            joined.setdefault(lab.replace(b, a) if a < b else lab.replace(a, b), key)
-        else:
-            continue
-        j = nxt.get(key)
-        if j is None:
-            nxt[key] = len(nxt)
-            whole.append(i)
-        else:
-            add_whole.extend((i, j))
-    if can_close:
+) -> tuple[dict[str, int], dict[str, str] | None, int, list[array]]:
+    """One step of _compile, over one edge or over an edge and its image,
+    each followed by forgetting the vertices in `drops` beside it: the next
+    table, on a swap walk each of its labels' image, its number of entries
+    (on an ordinary walk, before forgetting), and the step's runs (see
+    _Plan), six per record.
+
+    On a swap walk (`mirrors` given) each entry stands for the orbit of
+    its label R and R's image S.  Both are walked, S through the images of
+    R's edges, so each outcome of S is the image of R's outcome beside it,
+    under the same factor.  Of an outcome and its image the smaller label
+    represents their orbit.  An orbit of two adds into it once, or twice
+    when the outcome is its own image; an orbit of one adds only the
+    outcomes that are representatives themselves.
+    """
+    forgotten = {dropped: {} for dropped in drops}  # label before -> after
+
+    def forget(lab, dropped):
+        after = forgotten[dropped]
+        key = after.get(lab)
+        if key is None:
+            key = after[lab] = _forget(lab, dropped, gone)
+        return key
+
+    kinds = 3 * len(step)
+    sources = [[] for _ in range(kinds)]  # per kind: the entries that flow
+    targets = [[] for _ in range(kinds)]  # per kind: the label each flows into
+    (u, v), *rest = step
+    if mirrors is None:  # an ordinary step over one edge
+        (dropped,) = drops
+        (whole, closed, opened), (to_whole, to_closed, to_opened) = sources, targets
         for lab, i in table.items():
             a, b = lab[u], lab[v]
-            if a == b or alone_u and lab.count(a) == 1 or alone_v and lab.count(b) == 1:
+            if a == b:
+                whole.append(i)
+                to_whole.append(forget(lab, dropped) if dropped else lab)
                 continue
-            shut += 1
-            key = _forget(lab, dropped, gone) if dropped else lab
-            j = nxt.get(key)
-            if j is None:
-                nxt[key] = len(nxt)
+            shut = lab
+            joined = lab.replace(b, a) if a < b else lab.replace(a, b)
+            if dropped:
+                shut = forget(shut, dropped) if can_close else None
+                joined = forget(joined, dropped) if can_open else None
+                if shut == joined:  # forgetting a lone end leaves one partition
+                    whole.append(i)
+                    to_whole.append(shut)
+                    continue
+            if can_close:
                 closed.append(i)
-            else:
-                add_closed.extend((i, j))
-    if can_open:
-        for lab, i in table.items():
-            a, b = lab[u], lab[v]
-            if a == b or alone_u and lab.count(a) == 1 or alone_v and lab.count(b) == 1:
-                continue
-            key = lab.replace(b, a) if a < b else lab.replace(a, b)
-            if dropped:
-                after = joined.get(key)
-                if after is None:
-                    joined[key] = after = _forget(key, dropped, gone)
-                key = after
-            j = nxt.get(key)
-            if j is None:
-                nxt[key] = len(nxt)
+                to_closed.append(shut)
+            if can_open:
                 opened.append(i)
+                to_opened.append(joined)
+        images = None
+    else:
+        x, y = rest[0] if rest else step[0]
+        images = {}  # representative -> its image
+
+        def cross(r, s, u, v, x, y, dropped, dropped_image):
+            # walk edge (u, v) from R and its image (x, y) from S, then forget
+            # `dropped` in R and its image in S: (kind, R', S') with kind 0
+            # whole, 1 closed, 2 opened
+            a, b = r[u], r[v]
+            if a == b:
+                out = [(0, r, s)]
             else:
-                add_opened.extend((i, j))
-    # before forgetting, the table held the joined labels and the closed ones
-    return nxt, len(joined) + shut if dropped else len(nxt), runs
+                out = [(1, r, s)] if can_close else []
+                if can_open:
+                    c, d = s[x], s[y]
+                    out.append((
+                        2,
+                        r.replace(b, a) if a < b else r.replace(a, b),
+                        s.replace(d, c) if c < d else s.replace(c, d),
+                    ))
+            if not dropped:
+                return out
+            out = [(kind, forget(r, dropped), forget(s, dropped_image)) for kind, r, s in out]
+            if len(out) == 2 and out[0][1] == out[1][1]:  # a lone end forgotten
+                return [(0, out[0][1], out[0][2])]
+            return out
+
+        for lab, i in table.items():
+            other = mirrors[lab]
+            found = cross(lab, other, u, v, x, y, drops[0], drops[-1])
+            if rest:
+                found = [
+                    (_JOINT[k1][k2], r2, s2)
+                    for k1, r, s in found
+                    for k2, r2, s2 in cross(r, s, x, y, u, v, drops[1], drops[0])
+                ]
+            own = other == lab  # an orbit of one
+            for kind, key, twin in found:
+                if twin < key:
+                    if own:
+                        continue  # R's swapped outcome reaches the representative
+                    key, twin = twin, key
+                elif key == twin and not own:
+                    # a partition that is its own image: R and S both reach it
+                    sources[kind].append(i)
+                    targets[kind].append(key)
+                images[key] = twin
+                sources[kind].append(i)
+                targets[kind].append(key)
+    nxt: dict[str, int] = {}  # label after forgetting -> index
+    runs = []
+    for part in range(0, kinds, 3):
+        starts = [array("I") for _ in range(3)]
+        adds = [array("I") for _ in range(3)]
+        for kind in range(3):
+            start, add = starts[kind], adds[kind]
+            for i, key in zip(sources[part + kind], targets[part + kind]):
+                j = nxt.get(key)
+                if j is None:
+                    nxt[key] = len(nxt)
+                    start.append(i)
+                else:
+                    add.append(i)
+                    add.append(j)
+        runs += starts + adds
+    if images is None and drops[0]:
+        # before forgetting, the table held the labels forgotten
+        return nxt, images, len(forgotten[drops[0]]), runs
+    return nxt, images, len(nxt), runs
 
 
 @lru_cache(maxsize=1024)
@@ -499,10 +660,13 @@ def _cached_plan(
     edges: tuple[tuple[int, int], ...],
     terminals: tuple[int, ...],
     pattern: bytes,
+    swap: int,
 ) -> _Plan:
-    """The compiled walk in the schedule's order, kept while it holds at
-    most STATE_CAP // 4 indices (2 MB); a larger one leaves in _Unretained."""
-    plan = _compile(n, edges, terminals, _edge_schedule(n, edges, terminals), pattern)
+    """The compiled walk in the schedule's order, over orbits of the layer
+    swap when `swap` is nonzero, kept while it holds at most
+    STATE_CAP // 4 indices (2 MB); a larger one leaves in _Unretained."""
+    schedule = _swap_walk(n, edges, terminals)[1] if swap else _edge_schedule(n, edges, terminals)
+    plan = _compile(n, edges, terminals, schedule, pattern, swap)
     if len(plan.indices) > STATE_CAP // 4:
         raise _Unretained(plan)
     return plan
@@ -510,33 +674,50 @@ def _cached_plan(
 
 def _replay(plan: _Plan, factors: list[int]) -> list[int]:
     """The numerators of a compiled walk's final table under one weight,
-    factors[2k] and factors[2k + 1] holding the open and the closed
-    numerator of edge k."""
+    one per partition of the terminals; factors[2k] and factors[2k + 1]
+    hold the open and the closed numerator of edge k."""
     run = iter(plan.indices)
     pairs = zip(run, run)  # consecutive indices (i, j)
     step = iter(plan.steps)
     nums = [1]
-    for k, whole, closed, opened, add_whole, add_closed, add_opened in zip(
+    half = False  # between the two records of a step over an edge and its image
+    for head, first, second, third, add_first, add_second, add_third in zip(
         step, step, step, step, step, step, step
     ):
-        o = factors[k]
-        c = factors[k + 1]
-        w = o + c
-        nxt = [nums[i] * w for i in islice(run, whole)]
-        if closed:
-            nxt += [nums[i] * c for i in islice(run, closed)]
-        if opened:
-            nxt += [nums[i] * o for i in islice(run, opened)]
-        if add_whole:
-            for i, j in islice(pairs, add_whole):
-                nxt[j] += nums[i] * w
-        if add_closed:
-            for i, j in islice(pairs, add_closed):
-                nxt[j] += nums[i] * c
-        if add_opened:
-            for i, j in islice(pairs, add_opened):
-                nxt[j] += nums[i] * o
-        nums = nxt
+        if head & 1:
+            o = factors[head - 1]
+            c = factors[head]
+            w = o + c
+            if half:
+                f, g, h = c * c, c * o, o * o
+                nxt += [nums[i] * f for i in islice(run, first)]
+            else:
+                f, g, h = w * w, w * c, w * o
+                nxt = [nums[i] * f for i in islice(run, first)]
+            half = not half
+        else:
+            o = factors[head]
+            c = factors[head + 1]
+            f, g, h = o + c, c, o
+            nxt = [nums[i] * f for i in islice(run, first)]
+        if second:
+            nxt += [nums[i] * g for i in islice(run, second)]
+        if third:
+            nxt += [nums[i] * h for i in islice(run, third)]
+        if add_first:
+            for i, j in islice(pairs, add_first):
+                nxt[j] += nums[i] * f
+        if add_second:
+            for i, j in islice(pairs, add_second):
+                nxt[j] += nums[i] * g
+        if add_third:
+            for i, j in islice(pairs, add_third):
+                nxt[j] += nums[i] * h
+        if not half:
+            nums = nxt
+    if plan.expand:
+        # both members of an orbit share one int
+        return [nums[i] for i in plan.expand]
     return nums
 
 
@@ -572,10 +753,18 @@ def _partition_numerators(
     schedule and which branches some weight can take, not on the weights:
     that bookkeeping is compiled once into index arrays (_compile) and
     cached, and each weight replays it as integer multiply-adds (_replay).
+
+    When the layer swap maps the edges, the terminals and every weight to
+    themselves (_layer_swap), an entry stands for an orbit of the swap:
+    the walk takes an edge and its image in one step, multiplies by w²,
+    wc, wo, c², co and o², and keeps one partition of each orbit, so the
+    table holds about half the entries.  The final orbits are expanded to
+    every partition of the terminals.
     """
     pattern = bytes(map(any, zip(*factors)))
+    swap = _layer_swap(n, edges, terminals, factors)
     try:
-        plan = _cached_plan(n, edges, terminals, pattern)
+        plan = _cached_plan(n, edges, terminals, pattern, swap)
     except _Unretained as big:
         plan = big.args[0]
     if plan.states > STATE_CAP:
@@ -739,7 +928,12 @@ class ConnectivityDistribution:
         return Fraction(total, self.denominator)
 
     def connection(self, x: int, y: int) -> Fraction:
-        return ONE if x == y else self.probability(ConnectivitySpec.connected(x, y))
+        spec = ConnectivitySpec.connected(x, y)
+        if x != y:
+            return self.probability(spec)
+        spec.validate(self.graph)  # a vertex this table knows nothing of is refused
+        self._positions(spec.positive)
+        return ONE
 
 
 def connectivity_distributions(
@@ -756,9 +950,11 @@ def connectivity_distributions(
     checking many weights against one graph costs one walk of the
     partitions, compiled once and cached per graph, terminals and branches
     the weights can take, plus one multiply-add per weight per table entry
-    and edge.  The partitions are
-    those of `terminals` (default: every vertex); fewer terminals mean fewer
-    partitions.
+    and edge.  The partitions are those of `terminals` (default: every
+    vertex); fewer terminals mean fewer partitions.  On a bunkbed whose
+    terminals and every weight are symmetric under swapping the layers, the
+    walk keeps one partition of each swapped pair, about half the table;
+    the distributions returned are the same.
     """
     for w in weights:
         if w.graph is not graph and w.graph != graph:

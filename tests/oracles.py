@@ -126,7 +126,7 @@ def naive_terminal_distribution(w: Weight, terminals) -> dict[frozenset, Fractio
     return out
 
 
-def frontier_counts(n: int, walk, terminals, branches) -> tuple[int, int]:
+def frontier_counts(n: int, walk, terminals, branches, swap: int = 0) -> tuple[int, int]:
     """(width, states) of a walk that takes the edges `walk` in order, where
     branches[s] tells whether the s-th edge may open and may close.
 
@@ -135,16 +135,36 @@ def frontier_counts(n: int, walk, terminals, branches) -> tuple[int, int]:
     taken; the states are the most partitions of the vertices not yet
     forgotten, over every subset of the edges taken so far that respects
     the branches (at least 1).  Found here by listing the subsets.
+
+    With swap = h the walk runs over orbits of the layer swap
+    x -> (x + h) mod n: it takes each edge but a post (x, x + h) together
+    with the edge's image, and keeps a table only after a post or a pair.
+    The states are then the most classes {P, image of P} among the
+    partitions listed at those levels, after forgetting.
     """
     last = {}
     for s, edge in enumerate(walk):
         for x in edge:
             last[x] = s
+    image = lambda x: (x + swap) % n
+    levels = []  # (index of the level's last edge, forgotten by then)
+    s = 0
+    while s < len(walk):
+        u, v = walk[s]
+        if swap and v != image(u):
+            assert sorted(map(image, walk[s])) == list(walk[s + 1]), "an edge beside its image"
+            s += 1
+        levels.append(s)
+        s += 1
     width, states = 0, 1
     for s in range(len(walk)):
         forgotten = {x for x, t in last.items() if t < s and x not in terminals}
         met = {x for edge in walk[: s + 1] for x in edge}
         width = max(width, len(met - forgotten))
+        if swap:
+            if s not in levels:
+                continue
+            forgotten = {x for x, t in last.items() if t <= s and x not in terminals}
         kept = [x for x in range(n) if x not in forgotten]
         choices = [
             [bit for bit, allowed in ((True, may_open), (False, may_close)) if allowed]
@@ -157,6 +177,11 @@ def frontier_counts(n: int, walk, terminals, branches) -> tuple[int, int]:
                 frozenset(y for y in bfs_reachable(n, open_edges, [x]) if y in kept)
                 for x in kept
             ))
+        if swap:
+            partitions = {
+                frozenset((p, frozenset(frozenset(map(image, block)) for block in p)))
+                for p in partitions
+            }
         states = max(states, len(partitions))
     return width, states
 

@@ -206,6 +206,43 @@ class TestEventProbability:
         assert (info.currsize, info.hits, info.misses) == (0, 0, 1)
 
 
+def swap_image(g: Graph, edge: tuple[int, int]) -> tuple[int, int]:
+    """The edge's image under the layer swap x -> (x + n/2) mod n."""
+    h = g.vertex_count // 2
+    return tuple(sorted((x + h) % g.vertex_count for x in edge))
+
+
+def swap_symmetric(g: Graph, weights, terminals) -> bool:
+    """Whether the layer swap maps the graph, with every post (x, x + n/2),
+    the terminals and each weight to themselves."""
+    n, h = g.vertex_count, g.vertex_count // 2
+    index = {e: k for k, e in enumerate(g.edges)}
+    return (
+        n > 0 and n % 2 == 0
+        and all((x, x + h) in index for x in range(h))
+        and all(swap_image(g, e) in index for e in g.edges)
+        and {(t + h) % n for t in terminals} == set(terminals)
+        and all(
+            w.values[k] == w.values[index[swap_image(g, e)]]
+            for w in weights
+            for k, e in enumerate(g.edges)
+        )
+    )
+
+
+def partition_masses(dist) -> dict:
+    """The distribution as {partition of the terminals into blocks: mass},
+    partitions of mass 0 left out."""
+    got = {}
+    for lab, num in zip(dist.labels, dist.numerators):
+        if num:
+            blocks = frozenset(
+                frozenset(t for k, t in enumerate(dist.terminals) if lab[k] == root) for root in lab
+            )
+            got[blocks] = got.get(blocks, 0) + F(num, dist.denominator)
+    return got
+
+
 class TestKernelAgainstOracle:
     def test_kernel_matches_naive_oracle(self):
         # one batch per graph: weights of 0 and 1, small denominators, and
@@ -275,23 +312,116 @@ class TestKernelAgainstOracle:
         ]
         terminals = tuple(sorted(data.draw(st.sets(st.integers(0, max(n - 1, 0)), max_size=n))))
         dists = connectivity_distributions(g, weights, terminals=terminals)
-        order = percolation._edge_schedule(n, g.edges, terminals).order
+        # a draw the layer swap maps to itself (n = 2 with its post, say)
+        # is walked over the swap's orbits where that schedule is no wider
+        swap = 0
+        if swap_symmetric(g, weights, terminals) and percolation._swap_walk(n, g.edges, terminals):
+            swap = n // 2
+            order = percolation._swap_walk(n, g.edges, terminals)[1].order
+        else:
+            order = percolation._edge_schedule(n, g.edges, terminals).order
         branches = [
             (any(w.values[k] > 0 for w in weights), any(w.values[k] < 1 for w in weights))
             for k in order
         ]
-        width, states = frontier_counts(n, [g.edges[k] for k in order], terminals, branches)
+        width, states = frontier_counts(n, [g.edges[k] for k in order], terminals, branches, swap)
         for w, dist in zip(weights, dists):
             assert (dist.width, dist.states) == (width, states)
-            got = {}
-            for lab, num in zip(dist.labels, dist.numerators):
-                if num:
-                    blocks = frozenset(
-                        frozenset(t for k, t in enumerate(terminals) if lab[k] == root)
-                        for root in lab
-                    )
-                    got[blocks] = got.get(blocks, 0) + F(num, dist.denominator)
-            assert got == naive_terminal_distribution(w, terminals)
+            assert partition_masses(dist) == naive_terminal_distribution(w, terminals)
+
+
+class TestSwapWalk:
+    """A walk the layer swap maps to itself keeps one partition per orbit of
+    the swap; every other input takes the ordinary walk."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 4), data=st.data())
+    def test_swap_walk_matches_the_naive_oracle(self, n, data):
+        # bunkbeds of bases on at most 4 vertices and 4 edges, 1-3
+        # symmetric columns valued in {0, 1/3, 1/2, 1}, terminals both
+        # copies of a random set of base vertices
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        edges = []
+        if pairs:
+            edges = data.draw(st.lists(st.sampled_from(pairs), unique=True, max_size=4))
+        bb = bunkbed(Graph(n, tuple(edges)))
+        value = st.sampled_from([F(0), F(1, 3), F(1, 2), F(1)])
+        weights = [
+            SymmetricWeight(
+                bb,
+                tuple(data.draw(st.lists(value, min_size=len(edges), max_size=len(edges)))),
+                tuple(data.draw(st.lists(value, min_size=n, max_size=n))),
+            ).to_weight()
+            for _ in range(data.draw(st.integers(1, 3)))
+        ]
+        lower = data.draw(st.sets(st.integers(0, n - 1)) | st.just(set(range(n))))
+        terminals = tuple(sorted(lower | {x + n for x in lower}))
+        assert swap_symmetric(bb.total, weights, terminals)
+        dists = connectivity_distributions(bb.total, weights, terminals=terminals)
+        for w, dist in zip(weights, dists):
+            assert dist.terminals == terminals
+            assert partition_masses(dist) == naive_terminal_distribution(w, terminals)
+
+    def test_symmetric_inputs_walk_the_orbits(self):
+        # the table holds orbits, the oracle's count of them, and callers
+        # still get every partition of the terminals
+        cases = [
+            (bunkbed(cycle(4)), (0, 2, 4, 6), 57),
+            (bunkbed(cycle(4)), tuple(range(8)), 516),
+            (bunkbed(P3), (0, 3), 10),
+            (bunkbed(TRIANGLE), tuple(range(6)), 68),
+        ]
+        for bb, terminals, orbits in cases:
+            g = bb.total
+            n, h = g.vertex_count, g.vertex_count // 2
+            w = SymmetricWeight(
+                bb,
+                tuple(F(k + 1, k + 3) for k in range(bb.base.edge_count)),
+                tuple(F(1, k + 2) for k in range(bb.base.vertex_count)),
+            ).to_weight()
+            dist = connectivity_distribution(w, terminals=terminals)
+            order = percolation._swap_walk(n, g.edges, terminals)[1].order
+            walk = [g.edges[k] for k in order]
+            width, states = frontier_counts(n, walk, terminals, [(True, True)] * len(walk), h)
+            assert (dist.width, dist.states) == (width, states)
+            assert states == orbits
+            assert partition_masses(dist) == naive_terminal_distribution(w, terminals)
+            if len(terminals) == n:  # nothing is forgotten: the last table is the largest
+                assert dist.states < len(dist.labels) < 2 * dist.states
+
+    def test_fallbacks_keep_the_ordinary_walk(self):
+        # each input breaks one condition of the swap walk: the values and
+        # states are those of the ordinary walk, pinned
+        c4 = bunkbed(cycle(4))
+        g = c4.total
+        sym = SymmetricWeight(
+            c4, (F(1, 3), F(1, 2), F(2, 3), F(1, 4)), (F(1, 2), F(1, 3), F(3, 4), F(1, 5))
+        ).to_weight()
+        alone = connectivity_distribution(sym, terminals=(0, 2, 4, 6))
+        assert alone.states == 57
+        # a batch with one asymmetric column
+        asym = sym.replace(c4.plus_edge(0), F(1, 7))
+        dists = connectivity_distributions(g, [sym, asym], terminals=(0, 2, 4, 6))
+        assert [d.states for d in dists] == [138, 138]
+        assert [d.connection(0, 6) for d in dists] == [F(959, 2430), F(6607, 18144)]
+        assert [d.connection(0, 2) for d in dists] == [F(1813, 4320), F(1993, 5040)]
+        assert dists[0].connection(0, 6) == alone.connection(0, 6)
+        # a restriction that drops one copy of a base edge
+        mask = frozenset(range(g.edge_count)) - {c4.plus_edge(0)}
+        dist = connectivity_distribution(sym, restriction=mask, terminals=(0, 2, 4, 6))
+        assert dist.states == 111
+        assert (dist.connection(0, 6), dist.connection(0, 2)) == (F(5897, 17280), F(2173, 5760))
+        # terminals 0- and 3+ on C6
+        w6 = SymmetricWeight.uniform(bunkbed(cycle(6)), F(1, 3)).to_weight()
+        dist = connectivity_distribution(w6, terminals=(0, 9))
+        assert (dist.states, dist.width) == (84, 6)
+        assert dist.connection(0, 9) == F(453497, 4782969)
+        assert event_probability(w6, ConnectivitySpec.connected(0, 9)).value == F(453497, 4782969)
+        # every post, but the image (3, 4) of (0, 1) is missing
+        odd = Graph(6, ((0, 1), (1, 2), (4, 5), (0, 3), (1, 4), (2, 5)))
+        dist = connectivity_distribution(Weight.uniform(odd, F(1, 2)), terminals=(0, 1, 3, 4))
+        assert (dist.states, dist.width) == (48, 6)
+        assert (dist.connection(0, 4), dist.connection(1, 3)) == (F(9, 32), F(1, 4))
 
 
 class TestKernelEdges:
@@ -636,6 +766,16 @@ class TestTerminalDistributions:
             dist.connection(1, 2)
         with pytest.raises(ValueError):
             connectivity_distribution(w, terminals=(0, 3))
+
+    def test_same_vertex_outside_the_terminals_is_refused(self):
+        # connection(x, x) is 1 only for a terminal, as probability reads it
+        dist = connectivity_distribution(Weight.uniform(P3, F(1, 2)), terminals=(0, 2))
+        assert dist.connection(0, 0) == dist.connection(2, 2) == 1
+        for x in (1, 99):
+            with pytest.raises(ValueError):
+                dist.connection(x, x)
+        with pytest.raises(ValueError, match="not a terminal"):
+            dist.connection(1, 1)
 
     def test_width_and_states_follow_the_front(self):
         # the bunkbed of a 13-vertex path: 26 vertices, but the sweep holds
