@@ -1,6 +1,7 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 a bunkbed violation was found, 2 parse error,
+Exit codes: 0 success, 1 a bunkbed violation was found, 2 parse error or a
+file that cannot be read (missing, a directory, not UTF-8 text) or written,
 3 enumeration cap or family bound exceeded, 4 precondition failed,
 141 standard output closed early (as 128 + SIGPIPE).
 Rationals are printed as num/den; decimals are labeled approximations.
@@ -340,8 +341,11 @@ def main(argv=None) -> int:
     except (GraphParseError, WeightParseError, EnvironmentParseError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
+    except UnicodeDecodeError as exc:  # a ValueError, so ahead of that clause
+        print(f"error: an input file is not UTF-8 text: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except (EnumerationCapError, BoundExceededError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -37,8 +37,10 @@ When swapping the layers (x -> x ± n/2) maps the walk to itself, as on a
 bunkbed whose weight gives both copies of each edge the same value and
 whose terminals come in both layers, the table keeps one representative
 partition per orbit of the swap, which halves it.  Such a walk takes each
-edge together with its image in one pair step, a post on its own, and
-follows both members of an orbit through every joint outcome.  Each
+edge together with its image in one pair step, a post on its own.  A step
+runs the ordinary walk's edge routine twice, over each orbit's
+representative through the step's edges and over its image through their
+images, and keeps the smaller label of each outcome and its image.  Each
 orbit's numerator is then given to both its partitions, so callers see
 the same distribution over partitions of the terminals.  It walks so only
 where its front, which the swap maps to itself, is no wider than the
@@ -52,8 +54,8 @@ from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import islice
-from operator import itemgetter
+from itertools import islice, repeat
+from operator import eq, itemgetter
 from typing import NamedTuple, Sequence
 
 from .graphs import BunkbedGraph, Graph, has_bunkbed_layout
@@ -90,13 +92,6 @@ class EnumerationCapError(RuntimeError):
 
 class WeightParseError(ValueError):
     """Raised when a weight file cannot be parsed or does not cover the graph."""
-
-
-def _check_probability(value: Fraction, what: str) -> Fraction:
-    # a Fraction's denominator is positive, so integer bounds suffice
-    if not 0 <= value.numerator <= value.denominator:
-        raise ValueError(f"{what} must lie in [0, 1], got {value}")
-    return value
 
 
 def _unit_fractions(values, what: str) -> tuple[Fraction, ...]:
@@ -214,7 +209,7 @@ class ProbabilityReport:
     elapsed: float
 
     def __post_init__(self):
-        _check_probability(self.value, "probability")
+        _unit_fractions((self.value,), "probability")
 
 
 def atom_probability(w: Weight, edge_subset) -> Fraction:
@@ -449,8 +444,9 @@ def _forget(lab: str, dropped: tuple[int, ...], gone: str) -> str:
     return lab
 
 
-# a pair step's factor, by the outcomes of its edge and of the edge's image
-# (0 whole, 1 closed, 2 opened): 0 w², 1 wc, 2 wo, 3 c², 4 co, 5 o²
+# a step's factor, by the factor so far (row) and an edge's outcome (0
+# whole, 1 closed, 2 opened): row 0 gives an edge's own factor, and over an
+# edge and its image 0 w², 1 wc, 2 wo, 3 c², 4 co, 5 o²
 _JOINT = ((0, 1, 2), (1, 3, 4), (2, 4, 5))
 
 
@@ -537,13 +533,18 @@ def _compile_step(
     (on an ordinary walk, before forgetting), and the step's runs (see
     _Plan), six per record.
 
-    On a swap walk (`mirrors` given) each entry stands for the orbit of
-    its label R and R's image S.  Both are walked, S through the images of
-    R's edges, so each outcome of S is the image of R's outcome beside it,
-    under the same factor.  Of an outcome and its image the smaller label
-    represents their orbit.  An orbit of two adds into it once, or twice
-    when the outcome is its own image; an orbit of one adds only the
-    outcomes that are representatives themselves.
+    One routine, `walk`, takes a stream of labels through one edge and the
+    forgetting after it, and gives each outcome its kind: whole, closed or
+    opened, joined over a pair step's two edges into one of its six
+    factors (_JOINT).  An ordinary step runs it once over the table.  On a
+    swap walk (`mirrors` given) each entry stands for the orbit of its
+    label R and R's image S, and it runs over both: R through the step's
+    edges and S through their images, which are the same edges in the other
+    order, so the two streams keep in step and each outcome of S is the
+    image of R's outcome beside it, under the same factor.  Of an outcome
+    and its image the smaller label represents their orbit.  An orbit of
+    two adds into it once, or twice when the outcome is its own image; an
+    orbit of one adds only the outcomes that are representatives themselves.
     """
     forgotten = {dropped: {} for dropped in drops}  # label before -> after
 
@@ -554,84 +555,64 @@ def _compile_step(
             key = after[lab] = _forget(lab, dropped, gone)
         return key
 
+    def walk(entries, u, v, dropped):
+        # (tag, kind, label) for each outcome of each (tag, kind, label) of
+        # `entries` through edge (u, v) and forgetting `dropped`; the edge
+        # whole (0), closed (1) or opened (2) joins the kind as in _JOINT
+        for tag, k, lab in entries:
+            a, b = lab[u], lab[v]
+            if a == b:
+                yield tag, k, forget(lab, dropped) if dropped else lab
+                continue
+            joined = lab.replace(b, a) if a < b else lab.replace(a, b)
+            if dropped:
+                lab = forget(lab, dropped) if can_close else None
+                joined = forget(joined, dropped) if can_open else None
+                if lab == joined:  # forgetting a lone end leaves one partition
+                    yield tag, k, lab
+                    continue
+            if can_close:
+                yield tag, _JOINT[k][1], lab
+            if can_open:
+                yield tag, _JOINT[k][2], joined
+
+    def through(tags, labels, edges, drops):
+        # (tag, kind, label) for each outcome of the labels, each with its
+        # tag, through `edges`, forgetting drops[k] after edges[k]
+        entries = zip(tags, repeat(0), labels)
+        for (u, v), dropped in zip(edges, drops):
+            entries = walk(entries, u, v, dropped)
+        return entries
+
     kinds = 3 * len(step)
     sources = [[] for _ in range(kinds)]  # per kind: the entries that flow
     targets = [[] for _ in range(kinds)]  # per kind: the label each flows into
-    (u, v), *rest = step
     if mirrors is None:  # an ordinary step over one edge
-        (dropped,) = drops
-        (whole, closed, opened), (to_whole, to_closed, to_opened) = sources, targets
-        for lab, i in table.items():
-            a, b = lab[u], lab[v]
-            if a == b:
-                whole.append(i)
-                to_whole.append(forget(lab, dropped) if dropped else lab)
-                continue
-            shut = lab
-            joined = lab.replace(b, a) if a < b else lab.replace(a, b)
-            if dropped:
-                shut = forget(shut, dropped) if can_close else None
-                joined = forget(joined, dropped) if can_open else None
-                if shut == joined:  # forgetting a lone end leaves one partition
-                    whole.append(i)
-                    to_whole.append(shut)
-                    continue
-            if can_close:
-                closed.append(i)
-                to_closed.append(shut)
-            if can_open:
-                opened.append(i)
-                to_opened.append(joined)
+        for i, kind, key in through(table.values(), table, step, drops):
+            sources[kind].append(i)
+            targets[kind].append(key)
         images = None
     else:
-        x, y = rest[0] if rest else step[0]
+        image = mirrors.__getitem__
         images = {}  # representative -> its image
-
-        def cross(r, s, u, v, x, y, dropped, dropped_image):
-            # walk edge (u, v) from R and its image (x, y) from S, then forget
-            # `dropped` in R and its image in S: (kind, R', S') with kind 0
-            # whole, 1 closed, 2 opened
-            a, b = r[u], r[v]
-            if a == b:
-                out = [(0, r, s)]
-            else:
-                out = [(1, r, s)] if can_close else []
-                if can_open:
-                    c, d = s[x], s[y]
-                    out.append((
-                        2,
-                        r.replace(b, a) if a < b else r.replace(a, b),
-                        s.replace(d, c) if c < d else s.replace(c, d),
-                    ))
-            if not dropped:
-                return out
-            out = [(kind, forget(r, dropped), forget(s, dropped_image)) for kind, r, s in out]
-            if len(out) == 2 and out[0][1] == out[1][1]:  # a lone end forgotten
-                return [(0, out[0][1], out[0][2])]
-            return out
-
-        for lab, i in table.items():
-            other = mirrors[lab]
-            found = cross(lab, other, u, v, x, y, drops[0], drops[-1])
-            if rest:
-                found = [
-                    (_JOINT[k1][k2], r2, s2)
-                    for k1, r, s in found
-                    for k2, r2, s2 in cross(r, s, x, y, u, v, drops[1], drops[0])
-                ]
-            own = other == lab  # an orbit of one
-            for kind, key, twin in found:
-                if twin < key:
-                    if own:
-                        continue  # R's swapped outcome reaches the representative
-                    key, twin = twin, key
-                elif key == twin and not own:
-                    # a partition that is its own image: R and S both reach it
-                    sources[kind].append(i)
-                    targets[kind].append(key)
-                images[key] = twin
+        for (i, kind, key), (own, _, twin) in zip(
+            through(table.values(), table, step, drops),
+            # S through the images of the step's edges, which are the same
+            # edges in the other order (a post is its own image), tagged
+            # with whether the orbit is R alone (S == R)
+            through(map(eq, table, map(image, table)), map(image, table), step[::-1], drops[::-1]),
+        ):
+            if twin < key:
+                if own:
+                    continue  # R's swapped outcome reaches the representative
+                key, twin = twin, key
+            elif key == twin and not own:
+                # a partition that is its own image: R and S both reach it
                 sources[kind].append(i)
                 targets[kind].append(key)
+            images[key] = twin
+            sources[kind].append(i)
+            targets[kind].append(key)
     nxt: dict[str, int] = {}  # label after forgetting -> index
     runs = []
     for part in range(0, kinds, 3):
@@ -789,11 +770,7 @@ def _enumerated_edges(graph: Graph, restriction, cap: int) -> list[int]:
 
 
 def _distributions(
-    graph: Graph,
-    weights: Sequence[Weight],
-    edges: list[int],
-    restriction: tuple[int, ...] | None,
-    terminals: tuple[int, ...],
+    graph: Graph, weights: Sequence[Weight], edges: list[int], terminals: tuple[int, ...]
 ) -> list[ConnectivityDistribution]:
     """Run the kernel over `edges` for every weight at once."""
     factors = []  # per weight: open and closed numerator of each edge
@@ -812,9 +789,7 @@ def _distributions(
     pairs = tuple(map(graph.edges.__getitem__, edges))
     labels, columns, plan = _partition_numerators(graph.vertex_count, pairs, factors, terminals)
     return [
-        ConnectivityDistribution(
-            graph, restriction, labels, nums, d, terminals, plan.width, plan.states
-        )
+        ConnectivityDistribution(graph, labels, nums, d, terminals, plan.width, plan.states)
         for nums, d in zip(columns, denominators)
     ]
 
@@ -838,7 +813,7 @@ def event_probability(
     spec.validate(w.graph)
     edges = _enumerated_edges(w.graph, spec.restriction, cap)
     terminals = tuple(sorted({x for pair in spec.positive + spec.negative for x in pair}))
-    value = _distributions(w.graph, [w], edges, None, terminals)[0].probability(spec)
+    value = _distributions(w.graph, [w], edges, terminals)[0].probability(spec)
     return ProbabilityReport(
         value=value,
         method="brute_force",
@@ -866,7 +841,7 @@ def connection_probability(
 
 def sum_over_all_atoms(w: Weight, *, cap: int = DEFAULT_ENUMERATION_CAP) -> Fraction:
     """Sum of all atom probabilities; must be exactly 1 (normalization self-test)."""
-    dist = _distributions(w.graph, [w], _enumerated_edges(w.graph, None, cap), None, ())[0]
+    dist = _distributions(w.graph, [w], _enumerated_edges(w.graph, None, cap), ())[0]
     return Fraction(sum(dist.numerators), dist.denominator)
 
 
@@ -889,7 +864,6 @@ class ConnectivityDistribution:
     """
 
     graph: Graph
-    restriction: tuple[int, ...] | None
     labels: list[tuple[int, ...]]
     numerators: list[int]
     denominator: int
@@ -966,9 +940,7 @@ def connectivity_distributions(
         if not 0 <= t < graph.vertex_count:
             raise ValueError(f"terminal {t} out of range")
     edges = _enumerated_edges(graph, restriction, cap)
-    return _distributions(
-        graph, weights, edges, None if restriction is None else tuple(edges), terminals
-    )
+    return _distributions(graph, weights, edges, terminals)
 
 
 def connectivity_distribution(

@@ -83,6 +83,25 @@ class TestProb:
         w.write_text(HALF)
         assert main(["prob", str(tmp_path / "nope.txt"), str(w), "0", "1"]) == 2
 
+    def test_directory_as_input_exit_2(self, k2_files, tmp_path, capsys):
+        # a directory cannot be read: one error line, not a traceback with
+        # exit 1, the code for a violation
+        g, _ = k2_files
+        for argv in (["check", str(tmp_path)], ["prob", g, str(tmp_path), "0-", "1+", "--bunkbed"]):
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_graph_file_not_utf8_exit_2(self, k2_files, tmp_path, capsys):
+        # not a failed precondition (exit 4): the input cannot be read
+        _, w = k2_files
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"\xff\xfevertices 2\nedge 0 1\n")
+        for argv in (["prob", str(bad), w, "0", "1"], ["check", str(bad)]):
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_cap_exit_3(self, p3_files):
         g, w = p3_files
         assert main(["prob", g, w, "0-", "2-", "--bunkbed", "--method", "brute", "--cap", "3"]) == 3

@@ -608,6 +608,35 @@ class TestCompiledWalk:
         info = percolation._cached_plan.cache_info()
         assert (info.currsize, info.hits, info.misses) == (0, 0, 4)
 
+    def test_plan_sizes_are_pinned(self, monkeypatch):
+        # the plans of two swap walks and two ordinary ones under weights of
+        # 1/3: walk, peak states, width, then the lengths of the index runs,
+        # of the step records and of the final labels
+        k4 = Graph(4, ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)))
+        cases = [
+            (cycle(6), None, "swap", 24_501, 12, 81_199, 126, 48_284),
+            (cycle(4), (0, 2, 4, 6), "swap", 57, 6, 463, 84, 15),
+            (cycle(6), (0, 9), "ordinary", 84, 6, 760, 126, 2),
+            (k4, (0, 1, 4, 5), "ordinary", 432, 7, 3_861, 112, 15),
+        ]
+        compile_, plans = percolation._compile, []
+
+        def recording(*args):
+            plans.append(compile_(*args))
+            return plans[-1]
+
+        monkeypatch.setattr(percolation, "_compile", recording)
+        for base, terminals, *want in cases:
+            percolation._cached_plan.cache_clear()
+            plans.clear()
+            connectivity_distribution(Weight.uniform(bunkbed(base).total, F(1, 3)), terminals=terminals)
+            (plan,) = plans
+            got = [
+                "swap" if plan.expand else "ordinary", plan.states, plan.width,
+                len(plan.indices), len(plan.steps), len(plan.labels),
+            ]
+            assert got == want
+
 
 def nonzero(dist) -> dict:
     return {lab: num for lab, num in zip(dist.labels, dist.numerators) if num}
