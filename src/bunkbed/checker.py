@@ -22,11 +22,20 @@ from hashlib import sha256
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from .graphs import BunkbedGraph, Graph, bunkbed, format_graph, parse_graph, two_connected
+from .graphs import (
+    BunkbedGraph,
+    Graph,
+    GraphParseError,
+    bunkbed,
+    format_graph,
+    parse_graph,
+    two_connected,
+)
 from .percolation import (
     DEFAULT_ENUMERATION_CAP,
     EnumerationCapError,
     SymmetricWeight,
+    WeightParseError,
     format_rational,
     format_symmetric_weight,
     parse_rational,
@@ -121,6 +130,20 @@ class CheckReport:
 DEFAULT_GRID = (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4))
 
 
+def read_input(path, parse, *args):
+    """parse(text of the file at path, *args), with an error that names the
+    file: an OSError for text that is not UTF-8, as for any file that cannot
+    be read, and the parser's own error type for text that does not parse."""
+    try:
+        text = Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise OSError(f"{path}: not UTF-8 text: {exc}") from exc
+    try:
+        return parse(text, *args)
+    except (GraphParseError, WeightParseError) as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
+
+
 @dataclass(frozen=True)
 class WeightSource:
     """Where the symmetric weights of a check come from.
@@ -174,8 +197,7 @@ class WeightSource:
                 post_vals = tuple(Fraction(rng.randint(0, d), d) for _ in range(nv))
                 yield SymmetricWeight(bb, base_vals, post_vals)
         elif self.kind == "explicit":
-            text = Path(self.path).read_text()
-            yield parse_symmetric_weight_file(text, bb)
+            yield read_input(self.path, parse_symmetric_weight_file, bb)
         else:
             raise ValueError(f"unknown weight source kind {self.kind!r}")
 

@@ -23,6 +23,7 @@ from .checker import (
     WeightSource,
     check_graph,
     enumerate_trees,
+    read_input,
     search_candidates,
 )
 from .graphs import (
@@ -56,8 +57,9 @@ EXIT_PRECONDITION = 4
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE
 
 
-class EnvironmentParseError(ValueError):
-    """Raised when an environment variable the CLI reads does not parse."""
+class ArgumentParseError(ValueError):
+    """Raised when a command-line token or an environment variable the CLI
+    reads does not parse."""
 
 
 @dataclass(frozen=True)
@@ -76,7 +78,7 @@ def _default_cap() -> int:
     try:
         return int(env)
     except ValueError:
-        raise EnvironmentParseError(f"BUNKBED_CAP must be an integer, got {env!r}") from None
+        raise ArgumentParseError(f"BUNKBED_CAP must be an integer, got {env!r}") from None
 
 
 def _config_from(args) -> Config:
@@ -117,14 +119,24 @@ def _parse_weight_source(spec: str | None, seed: int) -> WeightSource:
     return WeightSource.random(numbers[0], denominator=denominator, seed=seed)
 
 
-def _parse_tagged_vertex(token: str, n: int) -> int:
-    """A bunkbed vertex written as '3-' or '3+' over a base of n vertices."""
-    if not token or token[-1] not in "-+":
-        raise ValueError(f"bunkbed vertex {token!r} must end in - or +")
-    x = int(token[:-1])
+def _parse_vertex(token: str, n: int, tagged: bool) -> int:
+    """A vertex token: with `tagged`, a bunkbed vertex written as '3-' or
+    '3+' over a base of n vertices, else a plain vertex index.  A token
+    that does not parse is a parse error; a tagged base vertex out of
+    range is a failed precondition."""
+    number, tag = (token[:-1], token[-1:]) if tagged else (token, None)
+    try:
+        if tag not in ("-", "+", None):
+            raise ValueError
+        x = int(number)
+    except ValueError:
+        form = "a base vertex followed by - or +" if tagged else "an integer"
+        raise ArgumentParseError(f"vertex {token!r} is not {form}") from None
+    if tag is None:
+        return x
     if not 0 <= x < n:
         raise ValueError(f"base vertex {x} out of range")
-    return x if token[-1] == "-" else x + n
+    return x if tag == "-" else x + n
 
 
 def _print_probability(report, cfg: Config) -> None:
@@ -142,13 +154,11 @@ def _print_probability(report, cfg: Config) -> None:
 
 def _cmd_prob(args) -> int:
     cfg = _config_from(args)
-    graph = parse_graph(Path(args.graph).read_text())
-    wtext = Path(args.weights).read_text()
+    graph = read_input(args.graph, parse_graph)
     if args.bunkbed:
-        bb = bunkbed(graph)
-        sw = parse_symmetric_weight_file(wtext, bb)
-        x = _parse_tagged_vertex(args.x, graph.vertex_count)
-        y = _parse_tagged_vertex(args.y, graph.vertex_count)
+        sw = read_input(args.weights, parse_symmetric_weight_file, bunkbed(graph))
+        x = _parse_vertex(args.x, graph.vertex_count, tagged=True)
+        y = _parse_vertex(args.y, graph.vertex_count, tagged=True)
         if args.method == "brute":
             report = event_probability(
                 sw.to_weight(), ConnectivitySpec.connected(x, y),
@@ -159,10 +169,11 @@ def _cmd_prob(args) -> int:
                 graph, sw, x, y, cap=cfg.enumeration_cap
             )
     else:
+        w = read_input(args.weights, parse_weight_file, graph)
         if args.method == "decomp":
             raise ValueError("--method decomp requires --bunkbed")
-        w = parse_weight_file(wtext, graph)
-        x, y = int(args.x), int(args.y)
+        x = _parse_vertex(args.x, graph.vertex_count, tagged=False)
+        y = _parse_vertex(args.y, graph.vertex_count, tagged=False)
         report = event_probability(
             w, ConnectivitySpec.connected(x, y),
             cap=cfg.enumeration_cap,
@@ -173,7 +184,7 @@ def _cmd_prob(args) -> int:
 
 def _cmd_check(args) -> int:
     cfg = _config_from(args)
-    graph = parse_graph(Path(args.graph).read_text())
+    graph = read_input(args.graph, parse_graph)
     source = _parse_weight_source(args.weights, cfg.seed)
     report = check_graph(
         graph, source,
@@ -187,9 +198,9 @@ def _cmd_check(args) -> int:
 
 def _cmd_reduce(args) -> int:
     cfg = _config_from(args)
-    base = parse_graph(Path(args.graph).read_text())
+    base = read_input(args.graph, parse_graph)
     bb = bunkbed(base)
-    sw = parse_symmetric_weight_file(Path(args.weights).read_text(), bb)
+    sw = read_input(args.weights, parse_symmetric_weight_file, bb)
     v = args.cut_vertex
     if v not in cut_vertices(base):
         raise NotACutVertexError(f"vertex {v} is not a cut vertex")
@@ -241,7 +252,7 @@ def _cmd_search(args) -> int:
 
     def candidates():
         for path in args.graphs:
-            yield parse_graph(Path(path).read_text())
+            yield read_input(path, parse_graph)
         yield from trees
 
     found = False
@@ -338,14 +349,11 @@ def main(argv=None) -> int:
         # the reader went away: silence the flush at exit, end as SIGPIPE would
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_BROKEN_PIPE
-    except (GraphParseError, WeightParseError, EnvironmentParseError, json.JSONDecodeError) as exc:
+    except (GraphParseError, WeightParseError, ArgumentParseError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except UnicodeDecodeError as exc:  # a ValueError, so ahead of that clause
-        print(f"error: an input file is not UTF-8 text: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except (EnumerationCapError, BoundExceededError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,23 +1,23 @@
 """Cut-vertex reductions for bunkbed percolation.
 
-Collapsing replaces one side of a bunkbed, beyond a cut vertex v, by a
-single post-edge weight equal to the side's own v- to v+ connection
-probability; every connection probability between vertices of the kept
-side is preserved.  collapse_side and the three-term cross identity
-(cross_side_probability) are exposed as tested transforms.
+One split step does all the gluing at a cut vertex v.  Side G of the split
+is solved first.  When v is G's only port, G's own v- to v+ connection
+probability becomes the post weight of v in side H (a collapse), which
+preserves every connection probability between vertices of H.  When v
+separates two ports, H's post at v is closed, since G's table already
+holds it, and the tables of the two sides, with v among the ports of
+each, are joined by a union over the six slots of the two ports and v.
+collapse_side exposes the collapse as a transform.
 
 two_point_probability and layer_probabilities run one recursion, _solve,
 over pieces with at most two port base vertices.  Each piece returns the
 exact distribution over partitions of both layers of its ports, so one
 solve of a pair gives every connection between x-, x+, y- and y+:
 two_point_probability reads one of them, layer_probabilities reads
-P(x- ~ y-) and P(x- ~ y+) together.  Three steps produce the table:
-collapse (a side holding no port becomes the kept side's post value),
-join (at a cut vertex v separating the ports, the tables of the two sides,
-with v among the ports of each, are combined by a union over the six
-slots of the two ports and v), and leaf (a piece with no usable cut vertex
-is one kernel call with both layers of its ports as terminals, so it costs
-the partitions of a narrow sweep front rather than of the whole piece).
+P(x- ~ y-) and P(x- ~ y+) together.  A piece with no usable cut vertex is
+a leaf: one kernel call with both layers of its ports as terminals, so it
+costs the partitions of a narrow sweep front rather than of the whole
+piece.
 """
 
 from __future__ import annotations
@@ -32,13 +32,11 @@ from .percolation import (
     DEFAULT_ENUMERATION_CAP,
     ONE,
     ZERO,
-    ConnectivitySpec,
     EnumerationCapError,
     ProbabilityReport,
     SymmetricWeight,
     Weight,
     connectivity_distribution,
-    event_probability,
 )
 
 
@@ -69,56 +67,31 @@ class BunkbedSplit:
         return self.split.h_vertices[hv % nh] + (hv // nh) * self.f.base.vertex_count
 
 
-def _bunkbed_edge_images(f: BunkbedGraph, side: BunkbedGraph, vertex_emb, edge_emb):
-    """Total-edge map side -> whole, following the fixed bunkbed layout."""
-    out = []
-    for j in range(side.base.edge_count):
-        out.append(f.minus_edge(edge_emb[j]))
-        out.append(f.plus_edge(edge_emb[j]))
-    for i in range(side.base.vertex_count):
-        out.append(f.post_edge(vertex_emb[i]))
-    return tuple(out)
+def _edge_images(base: Graph, vertex_emb, edge_emb) -> list[int]:
+    """The total edges of bunkbed(base) that a side's bunkbed total edges
+    are, in the side's order, for a side embedded in base by vertex_emb
+    and edge_emb; both bunkbeds follow the fixed layout."""
+    posts = 2 * base.edge_count
+    return [t for e in edge_emb for t in (2 * e, 2 * e + 1)] + [posts + x for x in vertex_emb]
 
 
 def bunkbed_split(split: SplitAtCutVertex) -> BunkbedSplit:
     """Lift a base-graph split to the bunkbed level."""
-    f = bunkbed(split.whole)
-    g = bunkbed(split.side_g)
     h = bunkbed(split.side_h)
-    g_map = _bunkbed_edge_images(f, g, split.g_vertices, split.g_edges)
-    h_map = _bunkbed_edge_images(f, h, split.h_vertices, split.h_edges)
     shared_post = h.post_edge(split.cut_in_h)
-    h0_edges = []
-    h0_edge_to_h = []
-    for i, e in enumerate(h.total.edges):
-        if i == shared_post:
-            continue
-        h0_edges.append(e)
-        h0_edge_to_h.append(i)
-    h0 = Graph(h.total.vertex_count, tuple(h0_edges), h.total.labels)
+    h0_edge_to_h = tuple(i for i in range(h.total.edge_count) if i != shared_post)
     return BunkbedSplit(
         split=split,
-        f=f,
-        g=g,
+        f=bunkbed(split.whole),
+        g=bunkbed(split.side_g),
         h=h,
-        h0=h0,
-        g_edge_to_whole=g_map,
-        h_edge_to_whole=h_map,
-        h0_edge_to_h=tuple(h0_edge_to_h),
+        h0=Graph(
+            h.total.vertex_count, tuple(h.total.edges[i] for i in h0_edge_to_h), h.total.labels
+        ),
+        g_edge_to_whole=tuple(_edge_images(split.whole, split.g_vertices, split.g_edges)),
+        h_edge_to_whole=tuple(_edge_images(split.whole, split.h_vertices, split.h_edges)),
+        h0_edge_to_h=h0_edge_to_h,
     )
-
-
-def _side_values(base_values, base: Graph, side: Graph, side_bb: BunkbedGraph, vertex_emb, edge_emb):
-    """Restrict a value list on bunkbed(base).total to a side's bunkbed."""
-    ne = base.edge_count
-    out = [ZERO] * side_bb.total.edge_count
-    for j in range(side.edge_count):
-        e = edge_emb[j]
-        out[side_bb.minus_edge(j)] = base_values[2 * e]
-        out[side_bb.plus_edge(j)] = base_values[2 * e + 1]
-    for i in range(side.vertex_count):
-        out[side_bb.post_edge(i)] = base_values[2 * ne + vertex_emb[i]]
-    return out
 
 
 @dataclass(frozen=True)
@@ -159,33 +132,22 @@ def collapse_side(
     """Collapse the G side of the split, preserving all H-side connection
     probabilities.  Works for arbitrary (not necessarily symmetric) weights.
 
-    The collapsed post value is computed by exhaustive enumeration of the G
-    side's bunkbed, so that side must fit under the cap.
+    The collapsed post value is G's P(v- ~ v+), solved by the decomposition
+    engine, so the cap applies to each block of side G, not to its whole
+    bunkbed.
     """
     if split.whole != f.base:
         raise ValueError("split does not belong to the given bunkbed's base graph")
     if mu.graph != f.total:
         raise ValueError("weight does not live on the bunkbed's total graph")
-    bs = bunkbed_split(split)
-    g_vals = _side_values(mu.values, f.base, split.side_g, bs.g, split.g_vertices, split.g_edges)
-    ng = split.side_g.vertex_count
-    vm = split.cut_in_g
-    try:
-        post_value = event_probability(
-            Weight(bs.g.total, tuple(g_vals)),
-            ConnectivitySpec.connected(vm, vm + ng),
-            cap=cap,
-        ).value
-    except EnumerationCapError as exc:
-        raise EnumerationCapError(
-            exc.needed, exc.cap, context="collapsed side enumeration", unit=exc.unit
-        ) from exc
-    h_vals = _side_values(mu.values, f.base, split.side_h, bs.h, split.h_vertices, split.h_edges)
-    h_vals[bs.h.post_edge(split.cut_in_h)] = post_value
+    _, h_vals = _split_step(
+        f.base, mu.values, split, (split.cut_vertex,), range(f.base.vertex_count), _Stats(), cap
+    )
+    h = bunkbed(split.side_h)
     return CollapsedSide(
-        reduced_bunkbed=bs.h,
-        reduced_weight=Weight(bs.h.total, tuple(h_vals)),
-        collapsed_post_value=post_value,
+        reduced_bunkbed=h,
+        reduced_weight=Weight(h.total, tuple(h_vals)),
+        collapsed_post_value=h_vals[h.post_edge(split.cut_in_h)],
         split=split,
     )
 
@@ -202,43 +164,6 @@ def zero_post_weight(h: BunkbedGraph, mu: Weight, v: int) -> Weight:
     if not 0 <= v < h.base.vertex_count:
         raise ValueError(f"base vertex {v} out of range")
     return mu.replace(h.post_edge(v), ZERO)
-
-
-@dataclass(frozen=True)
-class CrossSideTerms:
-    """The six side probabilities combined when a pair straddles a cut vertex.
-
-    g_* live in the side containing x (connection of x to the cut vertex's
-    two copies, and to both jointly); h0_* are the same quantities from y's
-    side with the shared post edge removed.
-    """
-
-    g_minus: Fraction
-    g_plus: Fraction
-    g_both: Fraction
-    h0_minus: Fraction
-    h0_plus: Fraction
-    h0_both: Fraction
-
-    def __post_init__(self):
-        for name in ("g_minus", "g_plus", "g_both", "h0_minus", "h0_plus", "h0_both"):
-            v = getattr(self, name)
-            if not ZERO <= v <= ONE:
-                raise ValueError(f"{name} must lie in [0, 1], got {v}")
-        if self.g_both > min(self.g_minus, self.g_plus):
-            raise ValueError("joint term exceeds a single term on the g side")
-        if self.h0_both > min(self.h0_minus, self.h0_plus):
-            raise ValueError("joint term exceeds a single term on the h0 side")
-
-
-def cross_side_probability(terms: CrossSideTerms) -> Fraction:
-    """Combine the six terms by inclusion-exclusion over which copy of the
-    cut vertex carries the connection."""
-    return (
-        terms.g_minus * terms.h0_minus
-        + terms.g_plus * terms.h0_plus
-        - terms.g_both * terms.h0_both
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -308,81 +233,75 @@ def _edges_within(base: Graph, vertex_set: set[int]) -> int:
     return sum(1 for u, v in base.edges if u in vertex_set and v in vertex_set)
 
 
+def _split_step(base, values, split, g_ports, origin, stats, cap):
+    """Solve side G of `split` for the base vertices `g_ports`, which
+    include the cut vertex v, and give G's table and the values of side H's
+    bunkbed.  H's post at v carries G's P(v- ~ v+) when v is G's only port
+    (a collapse), and is closed otherwise, since G's table holds it (a
+    join)."""
+    g_table = _solve(
+        split.side_g,
+        [values[t] for t in _edge_images(base, split.g_vertices, split.g_edges)],
+        tuple(split.g_vertex_index[p] for p in g_ports),
+        tuple(origin[w] for w in split.g_vertices), stats, cap,
+    )
+    h_vals = [values[t] for t in _edge_images(base, split.h_vertices, split.h_edges)]
+    nums, den = g_table
+    post = Fraction(nums.get((0, 0), 0), den) if len(g_ports) == 1 else ZERO
+    h_vals[bunkbed(split.side_h).post_edge(split.cut_in_h)] = post
+    return g_table, h_vals
+
+
 def _solve(base, values, ports, origin, stats, cap):
-    """The table of bunkbed(base) under `values` for `ports`; base is
-    connected.
+    """The table of bunkbed(base) under `values` for `ports`.
 
-    `origin` maps current base vertices to vertices of the original query
-    graph, for error reporting only.
+    base is connected, except that collapse_side may pass the G side of a
+    split of a disconnected graph; that side's one port is v, so only
+    collapses and leaves run on it, and both hold on any graph.  `origin`
+    maps current base vertices to vertices of the original query graph,
+    for error reporting only.
     """
-    cuts = sorted(cut_vertices(base))
-
-    # Collapse first: strip every component hanging off a cut vertex away
-    # from the ports, preferring the collapse that removes most edges.
+    # Rank every split: any collapse (a side holding no port) ahead of any
+    # join (a cut vertex separating the two ports).  The collapse removing
+    # most edges wins, then the join whose larger side is smallest, then the
+    # first cut vertex in sorted order.
     best = None
-    for v in cuts:
-        comps_v = base.components(skip=v)
-        chosen = [i for i, c in enumerate(comps_v) if not any(p in c for p in ports)]
-        if not chosen:
-            continue
-        if len(chosen) == len(comps_v):
-            # the only port is v itself; keep the cheapest component on the
-            # ports' side so the split stays proper
-            cheapest = min(
-                chosen,
-                key=lambda i: 2 * _edges_within(base, set(comps_v[i]) | {v}) + len(comps_v[i]),
-            )
-            chosen = [i for i in chosen if i != cheapest]
-        side_set = {v} | {w for i in chosen for w in comps_v[i]}
-        gain = 2 * _edges_within(base, side_set) + len(side_set) - 1
-        if best is None or gain > best[0]:
-            best = (gain, v, chosen)
-    if best is not None:
-        _, v, chosen = best
-        split = split_at(base, v, chosen)
-        g_vals = _side_values(
-            values, base, split.side_g, bunkbed(split.side_g), split.g_vertices, split.g_edges
-        )
-        nums, den = _solve(
-            split.side_g, g_vals, (split.cut_in_g,),
-            tuple(origin[w] for w in split.g_vertices), stats, cap,
-        )
-        h_bb = bunkbed(split.side_h)
-        h_vals = _side_values(values, base, split.side_h, h_bb, split.h_vertices, split.h_edges)
-        h_vals[h_bb.post_edge(split.cut_in_h)] = Fraction(nums.get((0, 0), 0), den)
-        return _solve(
-            split.side_h, h_vals, tuple(split.h_vertex_index[p] for p in ports),
-            tuple(origin[w] for w in split.h_vertices), stats, cap,
-        )
+    for v in sorted(cut_vertices(base)):
+        comps = base.components(skip=v)
+        chosen = [i for i, c in enumerate(comps) if not any(p in c for p in ports)]
+        if chosen:
+            if len(chosen) == len(comps):
+                # the only port is v itself; keep the cheapest component on
+                # the ports' side so the split stays proper
+                chosen.remove(min(
+                    chosen,
+                    key=lambda i: 2 * _edges_within(base, set(comps[i]) | {v}) + len(comps[i]),
+                ))
+            side = {v} | {w for i in chosen for w in comps[i]}
+            rank = (0, -(2 * _edges_within(base, side) + len(side) - 1))
+        else:
+            # two components, one port each; G, holding the first port,
+            # owns the post at v
+            ia = 0 if ports[0] in comps[0] else 1
+            eg = 2 * _edges_within(base, set(comps[ia]) | {v}) + len(comps[ia]) + 1
+            eh = 2 * _edges_within(base, set(comps[1 - ia]) | {v}) + len(comps[1 - ia])
+            rank, chosen = (1, max(eg, eh)), [ia]
+        if best is None or rank < best[0]:
+            best = (rank, v, chosen)
 
-    # Every cut vertex left separates the two ports.  Cross at the one whose
-    # larger side is smallest; H's post at v is closed, since G owns it.
-    best_cross = None
-    for v in cuts:
-        comps_v = base.components(skip=v)
-        ia = 0 if ports[0] in comps_v[0] else 1
-        eg = 2 * _edges_within(base, set(comps_v[ia]) | {v}) + len(comps_v[ia]) + 1
-        eh = 2 * _edges_within(base, set(comps_v[1 - ia]) | {v}) + len(comps_v[1 - ia])
-        if best_cross is None or max(eg, eh) < best_cross[0]:
-            best_cross = (max(eg, eh), v, ia)
-    if best_cross is not None:
-        _, v, ia = best_cross
-        split = split_at(base, v, [ia])
-        g_vals = _side_values(
-            values, base, split.side_g, bunkbed(split.side_g), split.g_vertices, split.g_edges
+    if best is not None:
+        (kind, _), v, chosen = best
+        collapse = kind == 0
+        split = split_at(base, v, chosen)
+        g_table, h_vals = _split_step(
+            base, values, split, (v,) if collapse else (ports[0], v), origin, stats, cap
         )
-        g_table = _solve(
-            split.side_g, g_vals, (split.g_vertex_index[ports[0]], split.cut_in_g),
-            tuple(origin[w] for w in split.g_vertices), stats, cap,
-        )
-        h_bb = bunkbed(split.side_h)
-        h_vals = _side_values(values, base, split.side_h, h_bb, split.h_vertices, split.h_edges)
-        h_vals[h_bb.post_edge(split.cut_in_h)] = ZERO
         h_table = _solve(
-            split.side_h, h_vals, (split.cut_in_h, split.h_vertex_index[ports[1]]),
+            split.side_h, h_vals,
+            tuple(split.h_vertex_index[p] for p in (ports if collapse else (v, ports[1]))),
             tuple(origin[w] for w in split.h_vertices), stats, cap,
         )
-        return _join(g_table, h_table)
+        return h_table if collapse else _join(g_table, h_table)
 
     # No usable cut vertex: one kernel call on this block's bunkbed.
     total = bunkbed(base).total
@@ -419,7 +338,7 @@ def _pair_table(base, values, abar, bbar, stats, cap):
         return None
     if len(comp) < base.vertex_count:
         sub, vemb, eemb = base.induced(comp)
-        values = _side_values(values, base, sub, bunkbed(sub), vemb, eemb)
+        values = [values[t] for t in _edge_images(base, vemb, eemb)]
         base, abar, bbar = sub, comp.index(abar), comp.index(bbar)
     ports = (abar,) if abar == bbar else (abar, bbar)
     return _solve(base, values, ports, tuple(comp), stats, cap)

@@ -134,9 +134,32 @@ class TestProb:
         monkeypatch.setenv("BUNKBED_CAP", "3")
         assert main(["prob", g, w, "0-", "2-", "--bunkbed", "--method", "brute"]) == 3
 
-    def test_bad_vertex_tag_exit_4(self, k2_files):
+    @pytest.mark.parametrize("x, y, flags, bad", [
+        ("a", "1", [], "a"),
+        ("0", "1-", [], "1-"),
+        ("0-", "x+", ["--bunkbed"], "x+"),
+        ("0-", "1", ["--bunkbed"], "1"),
+        ("0", "1", ["--bunkbed"], "0"),
+    ], ids=["letter", "tag-without-bunkbed", "letter-with-bunkbed", "untagged-with-bunkbed",
+            "both-untagged-with-bunkbed"])
+    def test_unparsable_vertex_exit_2(self, k2_files, capsys, x, y, flags, bad):
+        # a parse error, as for `check --pair a 1`, not a failed precondition
         g, w = k2_files
-        assert main(["prob", g, w, "0", "1", "--bunkbed"]) == 4
+        assert main(["prob", g, w, x, y, *flags]) == 2
+        assert f"vertex {bad!r} is not" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("x, y, flags", [("0-", "9+", ["--bunkbed"]), ("0", "5", [])])
+    def test_vertex_out_of_range_exit_4(self, k2_files, x, y, flags):
+        g, w = k2_files
+        assert main(["prob", g, w, x, y, *flags]) == 4
+
+    def test_weights_file_not_utf8_is_named(self, k2_files, tmp_path, capsys):
+        g, _ = k2_files
+        latin = tmp_path / "latin1.txt"
+        latin.write_bytes("# poids: 1/2 à chaque arête\ndefault 1/2\n".encode("latin-1"))
+        assert main(["prob", g, str(latin), "0-", "1+", "--bunkbed"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {latin}: not UTF-8 text") and err.count("\n") == 1
 
 
 class TestCheck:
@@ -222,6 +245,19 @@ class TestReduce:
         reduced = capsys.readouterr().out.split()[0]
         assert original == reduced
 
+    def test_side_over_the_edge_cap(self, tmp_path, capsys):
+        # side G, P15, has a 43-edge bunkbed; the cap of 30 applies per block
+        g = tmp_path / "p16.txt"
+        g.write_text(format_graph(Graph(16, tuple((i, i + 1) for i in range(15)))))
+        w = tmp_path / "w.txt"
+        w.write_text(HALF)
+        rc = main([
+            "reduce", str(g), str(w), "--cut-vertex", "14", "--side", "0",
+            "--out-graph", str(tmp_path / "o.txt"), "--out-weights", str(tmp_path / "ow.txt"),
+        ])
+        assert rc == 0
+        assert capsys.readouterr().out.strip() == "5026338869833/8796093022208"
+
     def test_non_cut_vertex_exit_4(self, p3_files, tmp_path):
         g, w = p3_files
         rc = main([
@@ -280,6 +316,16 @@ class TestSearch:
         lines = [json.loads(l) for l in capsys.readouterr().out.strip().splitlines()]
         assert len(lines) == 1 + 1 + 1 + 2 + 3
         assert all(r["method"] == "skipped" for r in lines)
+
+    def test_malformed_graph_file_is_named(self, tmp_path, capsys):
+        good = tmp_path / "k2.txt"
+        good.write_text(K2_TEXT)
+        bad = tmp_path / "bad.txt"
+        bad.write_text("vertices 2\nbogus\n")
+        assert main(["search", str(good), str(bad), "--weights", "grid:1/2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out.count("\n") == 1  # the first graph's report
+        assert captured.err == f"error: {bad}: line 2: unrecognized line 'bogus'\n"
 
     def test_trees_above_bound_exit_3(self, capsys):
         # refused up front, as `trees 9` is, not after streaming the small trees

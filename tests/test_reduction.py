@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from bunkbed import reduction
 from bunkbed.graphs import Graph, all_splits, bunkbed, cut_vertices, split_at
 from bunkbed.percolation import (
     ConnectivitySpec,
@@ -14,10 +15,8 @@ from bunkbed.percolation import (
     event_probability,
 )
 from bunkbed.reduction import (
-    CrossSideTerms,
     bunkbed_split,
     collapse_side,
-    cross_side_probability,
     two_point_probability,
     zero_post_weight,
 )
@@ -136,6 +135,21 @@ class TestCollapseSide:
         )
         assert lhs == rhs
 
+    def test_side_over_the_edge_cap_is_solved_per_block(self):
+        # side G of P16 cut at 14 is P15, a 43-edge bunkbed, over the
+        # default cap of 30; each of its blocks is one edge's 4-edge bunkbed
+        p16 = Graph(16, tuple((i, i + 1) for i in range(15)))
+        f = bunkbed(p16)
+        s = split_at(p16, 14, [0])
+        g = bunkbed(s.side_g)
+        assert g.total.edge_count == 43
+        cs = collapse_side(f, Weight.uniform(f.total, F(1, 3)), s)
+        whole_side = connection_probability(
+            Weight.uniform(g.total, F(1, 3)), s.cut_in_g, g.plus_vertex(s.cut_in_g), cap=60
+        )
+        assert cs.collapsed_post_value == whole_side
+        assert whole_side == F(118172508262033346635, 328256967394537077627)
+
 
 class TestZeroPostWeight:
     def test_idempotent(self):
@@ -186,17 +200,10 @@ class TestZeroPostWeight:
 
 
 class TestCrossSideProbability:
-    def test_all_zero(self):
-        t = CrossSideTerms(F(0), F(0), F(0), F(0), F(0), F(0))
-        assert cross_side_probability(t) == 0
-
-    def test_all_one(self):
-        t = CrossSideTerms(F(1), F(1), F(1), F(1), F(1), F(1))
-        assert cross_side_probability(t) == 1
-
-    def test_rejects_joint_above_single(self):
-        with pytest.raises(ValueError):
-            CrossSideTerms(F(1, 4), F(1, 2), F(1, 3), F(0), F(0), F(0))
+    """The three-term identity for a pair straddling a cut vertex v:
+    P(x ~ y) = P_G(x ~ v-) P_H0(v- ~ y) + P_G(x ~ v+) P_H0(v+ ~ y)
+    - P_G(x ~ v-, x ~ v+) P_H0(v- ~ y, v+ ~ y), with H0 side H minus the
+    shared post."""
 
     def test_path_identity_against_full_enumeration(self):
         f = bunkbed(P3)
@@ -214,26 +221,24 @@ class TestCrossSideProbability:
         vh_m, vh_p = s.cut_in_h, s.cut_in_h + nh
         post = bs.h.post_edge(s.cut_in_h)
         mask = frozenset(range(bs.h.total.edge_count)) - {post}
-        terms = CrossSideTerms(
-            g_minus=connection_probability(gw, a_g, vg_m),
-            g_plus=connection_probability(gw, a_g, vg_p),
-            g_both=event_probability(
-                gw, ConnectivitySpec(positive=((a_g, vg_m), (a_g, vg_p)))
-            ).value,
-            h0_minus=event_probability(
-                hw, ConnectivitySpec(positive=((vh_m, b_h),), restriction=mask)
-            ).value,
-            h0_plus=event_probability(
-                hw, ConnectivitySpec(positive=((vh_p, b_h),), restriction=mask)
-            ).value,
-            h0_both=event_probability(
-                hw, ConnectivitySpec(positive=((vh_m, b_h), (vh_p, b_h)), restriction=mask)
-            ).value,
-        )
+        g_minus = connection_probability(gw, a_g, vg_m)
+        g_plus = connection_probability(gw, a_g, vg_p)
+        g_both = event_probability(
+            gw, ConnectivitySpec(positive=((a_g, vg_m), (a_g, vg_p)))
+        ).value
+        h0_minus = event_probability(
+            hw, ConnectivitySpec(positive=((vh_m, b_h),), restriction=mask)
+        ).value
+        h0_plus = event_probability(
+            hw, ConnectivitySpec(positive=((vh_p, b_h),), restriction=mask)
+        ).value
+        h0_both = event_probability(
+            hw, ConnectivitySpec(positive=((vh_m, b_h), (vh_p, b_h)), restriction=mask)
+        ).value
         # against exhaustive enumeration over all 2^7 subsets of the whole bunkbed
         whole = connection_probability(mu, 0, 2)
         assert bs.f.total.edge_count == 7
-        assert cross_side_probability(terms) == whole
+        assert g_minus * h0_minus + g_plus * h0_plus - g_both * h0_both == whole
 
     def test_identity_random_straddling_pairs(self):
         rng = random.Random(19)
@@ -258,23 +263,20 @@ class TestCrossSideProbability:
                 vh = (s.cut_in_h, s.cut_in_h + nh)
                 for gx in range(2 * ng):
                     for hy in range(2 * nh):
-                        terms = CrossSideTerms(
-                            g_minus=g_dist.connection(gx, vg[0]),
-                            g_plus=g_dist.connection(gx, vg[1]),
-                            g_both=g_dist.probability(
-                                ConnectivitySpec(positive=((gx, vg[0]), (gx, vg[1])))
-                            ),
-                            h0_minus=h0_dist.connection(vh[0], hy),
-                            h0_plus=h0_dist.connection(vh[1], hy),
-                            h0_both=h0_dist.probability(
-                                ConnectivitySpec(
-                                    positive=((vh[0], hy), (vh[1], hy)), restriction=mask
-                                )
-                            ),
+                        g_both = g_dist.probability(
+                            ConnectivitySpec(positive=((gx, vg[0]), (gx, vg[1])))
+                        )
+                        h0_both = h0_dist.probability(
+                            ConnectivitySpec(positive=((vh[0], hy), (vh[1], hy)), restriction=mask)
+                        )
+                        cross = (
+                            g_dist.connection(gx, vg[0]) * h0_dist.connection(vh[0], hy)
+                            + g_dist.connection(gx, vg[1]) * h0_dist.connection(vh[1], hy)
+                            - g_both * h0_both
                         )
                         fx = bs.g_vertex_to_whole(gx)
                         fy = bs.h_vertex_to_whole(hy)
-                        assert cross_side_probability(terms) == dist.connection(fx, fy)
+                        assert cross == dist.connection(fx, fy)
 
 
 class TestTwoPointProbability:
@@ -337,6 +339,32 @@ class TestTwoPointProbability:
                 sw.to_weight(), ConnectivitySpec.connected(a, y), cap=bb.total.edge_count
             )
             assert two_point_probability(base, sw, a, y, cap=cap).value == whole.value
+
+    K4_EDGES = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+    # case -> (base, a, b, P(a ~ b), atoms_evaluated, leaf calls, distinct leaves)
+    PINNED = {
+        "P13": (Graph(13, tuple((i, i + 1) for i in range(12))), 0, 12 + 13,
+                F(9960215618987, 450283905890997363), 192, 12, 2),
+        "bowtie": (BOWTIE, 0, 3 + 5, F(23164019, 129140163), 1024, 2, 2),
+        "K4x2": (Graph(7, K4_EDGES + tuple((u + 3, v + 3) for u, v in K4_EDGES)), 0, 6,
+                 F(68648443486489, 205891132094649), 131072, 2, 2),
+        "C4+P2": (Graph(6, ((0, 1), (1, 2), (2, 3), (3, 0), (3, 4), (4, 5))), 5, 1 + 6,
+                  F(186725, 4782969), 4128, 3, 3),
+        "K1,3": (Graph(4, ((0, 1), (0, 2), (0, 3))), 0, 4, F(23897, 59049), 48, 3, 3),
+        "C3+P2": (Graph(5, ((0, 1), (1, 2), (2, 0), (2, 3), (3, 4))), 2, 2 + 5,
+                  F(6111307, 14348907), 544, 3, 3),
+    }
+
+    @pytest.mark.parametrize("case", list(PINNED))
+    def test_recursion_is_pinned(self, case):
+        # weight 1/3 everywhere; the leaf calls are the kernel tables the
+        # recursion asks for, the distinct ones those it had to compute
+        base, a, b, value, atoms, leaf_calls, distinct = self.PINNED[case]
+        reduction._cached_distribution.cache_clear()
+        report = two_point_probability(base, SymmetricWeight.uniform(bunkbed(base), F(1, 3)), a, b)
+        info = reduction._cached_distribution.cache_info()
+        assert (report.value, report.atoms_evaluated) == (value, atoms)
+        assert (info.hits + info.misses, info.misses) == (leaf_calls, distinct)
 
     def test_accepts_symmetric_and_plain_weights(self):
         bb = bunkbed(P3)
