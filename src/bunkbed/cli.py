@@ -13,7 +13,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -62,36 +61,21 @@ class ArgumentParseError(ValueError):
     reads does not parse."""
 
 
-@dataclass(frozen=True)
-class Config:
-    """Resolved runtime knobs shared by all subcommands."""
-
-    enumeration_cap: int = DEFAULT_ENUMERATION_CAP
-    seed: int = 0
-    output: str = "table"  # or "json"
-
-
-def _default_cap() -> int:
-    env = os.environ.get("BUNKBED_CAP")
-    if env is None:
-        return DEFAULT_ENUMERATION_CAP
-    try:
-        return int(env)
-    except ValueError:
-        raise ArgumentParseError(f"BUNKBED_CAP must be an integer, got {env!r}") from None
-
-
-def _config_from(args) -> Config:
-    cap = args.cap if args.cap is not None else _default_cap()
+def _cap(args) -> int:
+    """The enumeration cap: --cap, else BUNKBED_CAP, else the default.
+    Checks that --cap and --threads are at least 1."""
+    cap = args.cap
+    if cap is None:
+        env = os.environ.get("BUNKBED_CAP")
+        try:
+            cap = DEFAULT_ENUMERATION_CAP if env is None else int(env)
+        except ValueError:
+            raise ArgumentParseError(f"BUNKBED_CAP must be an integer, got {env!r}") from None
     if cap < 1:
         raise ValueError("enumeration cap must be at least 1")
     if args.threads is not None and args.threads < 1:
         raise ValueError("threads must be at least 1")
-    return Config(
-        enumeration_cap=cap,
-        seed=getattr(args, "seed", 0),
-        output="json" if getattr(args, "json", False) else "table",
-    )
+    return cap
 
 
 def _parse_weight_source(spec: str | None, seed: int) -> WeightSource:
@@ -139,8 +123,8 @@ def _parse_vertex(token: str, n: int, tagged: bool) -> int:
     return x if tag == "-" else x + n
 
 
-def _print_probability(report, cfg: Config) -> None:
-    if cfg.output == "json":
+def _print_probability(report, as_json: bool) -> None:
+    if as_json:
         print(json.dumps({
             "value": format_rational(report.value),
             "decimal_approx": f"{float(report.value):.6f}",
@@ -153,7 +137,7 @@ def _print_probability(report, cfg: Config) -> None:
 
 
 def _cmd_prob(args) -> int:
-    cfg = _config_from(args)
+    cap = _cap(args)
     graph = read_input(args.graph, parse_graph)
     if args.bunkbed:
         sw = read_input(args.weights, parse_symmetric_weight_file, bunkbed(graph))
@@ -161,54 +145,48 @@ def _cmd_prob(args) -> int:
         y = _parse_vertex(args.y, graph.vertex_count, tagged=True)
         if args.method == "brute":
             report = event_probability(
-                sw.to_weight(), ConnectivitySpec.connected(x, y),
-                cap=cfg.enumeration_cap,
+                sw.to_weight(), ConnectivitySpec.connected(x, y), cap=cap
             )
         else:
-            report = two_point_probability(
-                graph, sw, x, y, cap=cfg.enumeration_cap
-            )
+            report = two_point_probability(graph, sw, x, y, cap=cap)
     else:
         w = read_input(args.weights, parse_weight_file, graph)
         if args.method == "decomp":
             raise ValueError("--method decomp requires --bunkbed")
         x = _parse_vertex(args.x, graph.vertex_count, tagged=False)
         y = _parse_vertex(args.y, graph.vertex_count, tagged=False)
-        report = event_probability(
-            w, ConnectivitySpec.connected(x, y),
-            cap=cfg.enumeration_cap,
-        )
-    _print_probability(report, cfg)
+        report = event_probability(w, ConnectivitySpec.connected(x, y), cap=cap)
+    _print_probability(report, args.json)
     return EXIT_OK
 
 
 def _cmd_check(args) -> int:
-    cfg = _config_from(args)
+    cap = _cap(args)
     graph = read_input(args.graph, parse_graph)
-    source = _parse_weight_source(args.weights, cfg.seed)
-    report = check_graph(
-        graph, source,
-        pairs=args.pair,
-        graph_id=args.graph,
-        cap=cfg.enumeration_cap,
-    )
+    source = _parse_weight_source(args.weights, args.seed)
+    report = check_graph(graph, source, pairs=args.pair, graph_id=args.graph, cap=cap)
     print(json.dumps(report.to_json(), indent=2))
     return EXIT_VIOLATION if report.violations else EXIT_OK
 
 
 def _cmd_reduce(args) -> int:
-    cfg = _config_from(args)
+    cap = _cap(args)
     base = read_input(args.graph, parse_graph)
     bb = bunkbed(base)
     sw = read_input(args.weights, parse_symmetric_weight_file, bb)
+    # a token that does not parse is a parse error; an index out of range
+    # is left to split_at, a failed precondition
+    side = []
+    for tok in filter(None, args.side.split(",")):
+        try:
+            side.append(int(tok))
+        except ValueError:
+            raise ArgumentParseError(f"side component {tok!r} is not an integer") from None
     v = args.cut_vertex
     if v not in cut_vertices(base):
         raise NotACutVertexError(f"vertex {v} is not a cut vertex")
-    side = [int(tok) for tok in args.side.split(",") if tok]
     split = split_at(base, v, side)
-    collapsed = collapse_side(
-        bb, sw.to_weight(), split, cap=cfg.enumeration_cap
-    )
+    collapsed = collapse_side(bb, sw.to_weight(), split, cap=cap)
     Path(args.out_graph).write_text(format_graph(collapsed.reduced_graph))
     Path(args.out_weights).write_text(format_weight(collapsed.reduced_weight))
     print(format_rational(collapsed.collapsed_post_value))
@@ -216,16 +194,13 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_trees(args) -> int:
-    cfg = _config_from(args)
+    cap = _cap(args)
     trees = enumerate_trees(args.n, bound=args.bound)
     if args.check:
-        source = _parse_weight_source(args.weights or "grid:1/2", cfg.seed)
+        source = _parse_weight_source(args.weights or "grid:1/2", args.seed)
         worst = EXIT_OK
         for i, t in enumerate(trees):
-            report = check_graph(
-                t, source, graph_id=f"tree-{args.n}-{i}",
-                cap=cfg.enumeration_cap,
-            )
+            report = check_graph(t, source, graph_id=f"tree-{args.n}-{i}", cap=cap)
             print(json.dumps(report.to_json()))
             if report.violations:
                 worst = EXIT_VIOLATION
@@ -245,8 +220,8 @@ def _cmd_trees(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    cfg = _config_from(args)
-    source = _parse_weight_source(args.weights, cfg.seed)
+    cap = _cap(args)
+    source = _parse_weight_source(args.weights, args.seed)
     # built up front, so an order past the bound is refused before any report
     trees = [t for n in range(1, args.trees + 1) for t in enumerate_trees(n)]
 
@@ -260,7 +235,7 @@ def _cmd_search(args) -> int:
         candidates(), source,
         require_two_connected=args.two_connected_only,
         persist_dir=args.persist,
-        cap=cfg.enumeration_cap,
+        cap=cap,
     ):
         print(json.dumps(report.to_json()))
         if report.violations:

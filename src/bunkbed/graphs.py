@@ -73,9 +73,6 @@ class Graph:
     def edge_index(self) -> dict[tuple[int, int], int]:
         return {e: i for i, e in enumerate(self.edges)}
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return ((u, v) if u < v else (v, u)) in self.edge_index
-
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
 
@@ -155,11 +152,6 @@ class BunkbedGraph:
 
     def post_edge(self, x: int) -> int:
         return 2 * self.base.edge_count + x
-
-    def project(self, total_vertex: int) -> tuple[int, int]:
-        """Map a total-graph vertex to (base vertex, layer) with layer 0 or 1."""
-        n = self.base.vertex_count
-        return total_vertex % n, total_vertex // n
 
 
 @lru_cache(maxsize=4096)

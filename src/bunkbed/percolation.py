@@ -25,26 +25,28 @@ are marginalized analytically.
 
 Which entry flows into which depends on the graph, the terminals, the order
 and which branches some weight can take, never on the weights themselves.
-So a walk is compiled once into a plan and cached: per edge, the entries
-that start the next table under the whole, the closed and the open factor,
-then the entries that add into one already started, with forgetting folded
-into the same step.  Each weight's integer factors are read in one pass
-over its values, and the weight replays the plan step by step as integer
-multiply-adds over plain lists: a repeated walk, or one over many weights,
-does the partition bookkeeping once.
+So a walk is compiled once into a plan and cached, one record per step:
+the entries that start the next table under each of the step's factors
+(for one edge: whole, closed and open), then the entries that add into
+one already started, with forgetting folded into the same step.  Each
+weight's integer factors are read in one pass over its values, and the
+weight replays the plan step by step as integer multiply-adds over plain
+lists: a repeated walk, or one over many weights, does the partition
+bookkeeping once.
 
 When swapping the layers (x -> x ± n/2) maps the walk to itself, as on a
 bunkbed whose weight gives both copies of each edge the same value and
 whose terminals come in both layers, the table keeps one representative
 partition per orbit of the swap, which halves it.  Such a walk takes each
-edge together with its image in one pair step, a post on its own.  A step
-runs the ordinary walk's edge routine twice, over each orbit's
-representative through the step's edges and over its image through their
-images, and keeps the smaller label of each outcome and its image.  Each
-orbit's numerator is then given to both its partitions, so callers see
-the same distribution over partitions of the terminals.  It walks so only
-where its front, which the swap maps to itself, is no wider than the
-ordinary order's; there STATE_CAP counts orbits.
+edge together with its image in one pair step, one record of the plan
+with six factors, and a post on its own.  A step runs the ordinary walk's
+edge routine twice, over each orbit's representative through the step's
+edges and over its image through their images, and keeps the smaller
+label of each outcome and its image.  Each orbit's numerator is then
+given to both its partitions, so callers see the same distribution over
+partitions of the terminals.  It walks so only where its front, which
+the swap maps to itself, is no wider than the ordinary order's; there
+STATE_CAP counts orbits.
 """
 
 from __future__ import annotations
@@ -239,18 +241,6 @@ class _Schedule(NamedTuple):
     width: int
 
 
-@lru_cache(maxsize=256)
-def _edge_schedule(
-    n: int, edges: tuple[tuple[int, int], ...], terminals: tuple[int, ...]
-) -> _Schedule:
-    """The candidate order with the narrowest front.  A tie keeps the
-    earlier candidate, so greedy stays wherever it is already as narrow."""
-    return min(
-        (_walk(edges, terminals, order) for order in _candidate_orders(n, edges, terminals)),
-        key=lambda s: s.width,
-    )
-
-
 def _candidate_orders(
     n: int, edges: Sequence[tuple[int, int]], terminals: tuple[int, ...]
 ) -> list[list[int]]:
@@ -335,74 +325,71 @@ def _walk(
     return _Schedule(tuple(order), tuple(map(tuple, forget)), width)
 
 
-def _layer_swap(
-    n: int, edges: tuple[tuple[int, int], ...], terminals: tuple[int, ...], factors
-) -> int:
-    """h = n/2 when the kernel walks over orbits of the layer swap
-    x -> x ± h (see _swap_walk): the swap maps the edges and the terminals
-    to themselves, and every weight gives an edge and its image the same
-    factors.  0, the identity, otherwise."""
-    h = n // 2
-    if n % 2 or terminals != tuple(sorted((t + h) % n for t in terminals)):
-        return 0
-    walk = _swap_walk(n, edges, terminals)
-    if walk is None:
-        return 0
-    mirror = walk[0]
-    for col in factors:
-        if list(mirror(col)) != col:
-            return 0
-    return h
+class _Walks(NamedTuple):
+    """The schedules the kernel may walk one edge set in for one terminal
+    set.  `ordinary` is the candidate order with the narrowest front.
+    `swap` walks over orbits of the layer swap x -> x ± n/2 (see
+    _partition_numerators), and `mirror` is an itemgetter that reads a
+    factor list at each edge's image; both are None where no such walk
+    exists or where its front is wider than the ordinary one."""
+
+    ordinary: _Schedule
+    swap: _Schedule | None
+    mirror: itemgetter | None
 
 
 @lru_cache(maxsize=256)
-def _swap_walk(n: int, edges: tuple[tuple[int, int], ...], terminals: tuple[int, ...]):
-    """For edges with the layout graphs.bunkbed gives, closed under the
-    layer swap x -> x ± n/2, and swap-closed terminals: an itemgetter that
-    reads a factor list at each edge's image, and the schedule of a walk
-    over the swap's orbits.  That schedule is the layer-paired candidate
-    order with each edge's image moved up right behind it.  None when no
-    such walk exists, or when its front is wider than the ordinary
-    schedule's: a front the swap maps to itself can need a vertex more,
-    and a vertex more can cost more than the halving saves.
+def _walks(n: int, edges: tuple[tuple[int, int], ...], terminals: tuple[int, ...]) -> _Walks:
+    """Both schedules, from one list of candidate orders.
+
+    A tie of widths keeps the earlier candidate, so greedy stays wherever
+    it is already as narrow.  The orbit walk needs the layer-paired
+    candidate, edges closed under the swap and swap-closed terminals; its
+    order is that candidate with each edge's image moved up right behind
+    it.  A front the swap maps to itself can need a vertex more, and a
+    vertex more can cost more than the halving saves: a wider orbit walk
+    is not taken.
     """
-    if not n or not has_bunkbed_layout(n, edges):
-        return None
+    orders = _candidate_orders(n, edges, terminals)
+    ordinary = min((_walk(edges, terminals, order) for order in orders), key=lambda s: s.width)
+    none = _Walks(ordinary, None, None)
     h = n // 2
+    # a second candidate exists only on graphs.bunkbed's layout
+    if not n or len(orders) < 2 or terminals != tuple(sorted((t + h) % n for t in terminals)):
+        return none
     index = {e: k for k, e in enumerate(edges)}
     images = []
     for u, v in edges:
         a, b = (u + h) % n, (v + h) % n
         k = index.get((a, b) if a < b else (b, a))
         if k is None:
-            return None
+            return none
         images.append(k)
     order = []
-    for k in _candidate_orders(n, edges, terminals)[1]:
+    for k in orders[1]:
         if k not in order:
             order += (k,) if images[k] == k else (k, images[k])
-    schedule = _walk(edges, terminals, order)
-    if schedule.width > _edge_schedule(n, edges, terminals).width:
-        return None
-    return itemgetter(*(p for k in images for p in (2 * k, 2 * k + 1))), schedule
+    swap = _walk(edges, terminals, order)
+    if swap.width > ordinary.width:
+        return none
+    return _Walks(ordinary, swap, itemgetter(*(p for k in images for p in (2 * k, 2 * k + 1))))
 
 
 class _Plan(NamedTuple):
-    """A compiled walk, read record by record by _replay.
+    """A compiled walk, read step by step by _replay.
 
-    `steps` holds seven integers per record: a head, then the lengths of
-    six runs that follow each other in `indices`.  A step over edge k alone
-    is one record with head 2k; its factors are w, c and o, the edge's
-    whole denominator, closed and open numerator (a weight's factor list
-    holds o at 2k and c after it).  A step over edge k and its image under
-    the layer swap is two records with head 2k + 1, whose factors are w²,
-    wc, wo, then c², co, o²: both edges have the same factors.  The runs
-    index the table before the step, and the table after it lists, in
-    order, one entry started by each index of a record's first three runs,
-    times the record's first, second and third factor; a step's second
-    record goes on with the list its first began.  Then three runs of
-    pairs (i, j), one per factor in the same order, add entry i times that
-    factor into entry j.  A run of pairs counts each pair once in `steps`.
+    `steps` holds one record per step: a head, then the lengths of the
+    step's start runs and of its add runs, one of each per factor, which
+    follow each other in `indices`.  A step over edge k alone has head 2k
+    and three factors, w, c and o: the edge's whole denominator, closed
+    and open numerator (a weight's factor list holds o at 2k and c after
+    it).  A step over edge k and its image under the layer swap has head
+    2k + 1 and six factors, w², wc, wo, c², co and o²: both edges have the
+    same factors.  The runs index the table before the step.  The table
+    after it lists, in order, one entry started by each index of the start
+    runs, times the run's factor; then each add run's pairs (i, j) add
+    entry i times the run's factor into entry j.  A run of pairs counts
+    each pair once in `steps`.
 
     An outcome takes the factor w for an edge whose branches leave one
     partition (u and v already share a component, or forgetting makes the
@@ -487,7 +474,7 @@ def _compile(
         u, v = edges[k]
         # a step walks one edge, or on a swap walk an edge and its image
         span = order[at: at + (2 if swap and v - u != swap else 1)]
-        table, mirrors, size, runs = _compile_step(
+        table, mirrors, size, starts, adds = _compile_step(
             table, mirrors, tuple(map(edges.__getitem__, span)), forget[at: at + len(span)],
             gone, pattern[2 * k], pattern[2 * k + 1],
         )
@@ -495,12 +482,9 @@ def _compile(
         states = max(states, size)
         if states > STATE_CAP:
             raise EnumerationCapError(states, STATE_CAP, unit="states")
-        for part in range(len(span)):
-            record = runs[6 * part: 6 * part + 6]
-            head = 2 * k + len(span) - 1
-            steps.extend((head, *map(len, record[:3]), *(len(run) // 2 for run in record[3:])))
-            for run in record:
-                indices.extend(run)
+        steps.extend((2 * k + len(span) - 1, *map(len, starts), *(len(run) // 2 for run in adds)))
+        for run in starts + adds:
+            indices.extend(run)
     # one terminal: itemgetter picks a one-character str
     pick = itemgetter(*terminals) if terminals else lambda lab: ""
     labels = []
@@ -526,12 +510,12 @@ def _compile_step(
     gone: str,
     can_open: int,
     can_close: int,
-) -> tuple[dict[str, int], dict[str, str] | None, int, list[array]]:
+) -> tuple[dict[str, int], dict[str, str] | None, int, list[array], list[array]]:
     """One step of _compile, over one edge or over an edge and its image,
     each followed by forgetting the vertices in `drops` beside it: the next
     table, on a swap walk each of its labels' image, its number of entries
-    (on an ordinary walk, before forgetting), and the step's runs (see
-    _Plan), six per record.
+    (on an ordinary walk, before forgetting), and the step's start runs
+    and add runs, one of each per factor (see _Plan).
 
     One routine, `walk`, takes a stream of labels through one edge and the
     forgetting after it, and gives each outcome its kind: whole, closed or
@@ -584,13 +568,10 @@ def _compile_step(
             entries = walk(entries, u, v, dropped)
         return entries
 
-    kinds = 3 * len(step)
-    sources = [[] for _ in range(kinds)]  # per kind: the entries that flow
-    targets = [[] for _ in range(kinds)]  # per kind: the label each flows into
+    flows = [[] for _ in range(3 * len(step))]  # per kind: (entry, label it flows into)
     if mirrors is None:  # an ordinary step over one edge
         for i, kind, key in through(table.values(), table, step, drops):
-            sources[kind].append(i)
-            targets[kind].append(key)
+            flows[kind].append((i, key))
         images = None
     else:
         image = mirrors.__getitem__
@@ -608,31 +589,25 @@ def _compile_step(
                 key, twin = twin, key
             elif key == twin and not own:
                 # a partition that is its own image: R and S both reach it
-                sources[kind].append(i)
-                targets[kind].append(key)
+                flows[kind].append((i, key))
             images[key] = twin
-            sources[kind].append(i)
-            targets[kind].append(key)
+            flows[kind].append((i, key))
     nxt: dict[str, int] = {}  # label after forgetting -> index
-    runs = []
-    for part in range(0, kinds, 3):
-        starts = [array("I") for _ in range(3)]
-        adds = [array("I") for _ in range(3)]
-        for kind in range(3):
-            start, add = starts[kind], adds[kind]
-            for i, key in zip(sources[part + kind], targets[part + kind]):
-                j = nxt.get(key)
-                if j is None:
-                    nxt[key] = len(nxt)
-                    start.append(i)
-                else:
-                    add.append(i)
-                    add.append(j)
-        runs += starts + adds
+    starts = [array("I") for _ in flows]
+    adds = [array("I") for _ in flows]
+    for flow, start, add in zip(flows, starts, adds):
+        for i, key in flow:
+            j = nxt.get(key)
+            if j is None:
+                nxt[key] = len(nxt)
+                start.append(i)
+            else:
+                add.append(i)
+                add.append(j)
     if images is None and drops[0]:
         # before forgetting, the table held the labels forgotten
-        return nxt, images, len(forgotten[drops[0]]), runs
-    return nxt, images, len(nxt), runs
+        return nxt, images, len(forgotten[drops[0]]), starts, adds
+    return nxt, images, len(nxt), starts, adds
 
 
 @lru_cache(maxsize=1024)
@@ -646,8 +621,8 @@ def _cached_plan(
     """The compiled walk in the schedule's order, over orbits of the layer
     swap when `swap` is nonzero, kept while it holds at most
     STATE_CAP // 4 indices (2 MB); a larger one leaves in _Unretained."""
-    schedule = _swap_walk(n, edges, terminals)[1] if swap else _edge_schedule(n, edges, terminals)
-    plan = _compile(n, edges, terminals, schedule, pattern, swap)
+    walks = _walks(n, edges, terminals)
+    plan = _compile(n, edges, terminals, walks.swap if swap else walks.ordinary, pattern, swap)
     if len(plan.indices) > STATE_CAP // 4:
         raise _Unretained(plan)
     return plan
@@ -661,41 +636,19 @@ def _replay(plan: _Plan, factors: list[int]) -> list[int]:
     pairs = zip(run, run)  # consecutive indices (i, j)
     step = iter(plan.steps)
     nums = [1]
-    half = False  # between the two records of a step over an edge and its image
-    for head, first, second, third, add_first, add_second, add_third in zip(
-        step, step, step, step, step, step, step
-    ):
-        if head & 1:
-            o = factors[head - 1]
-            c = factors[head]
-            w = o + c
-            if half:
-                f, g, h = c * c, c * o, o * o
-                nxt += [nums[i] * f for i in islice(run, first)]
-            else:
-                f, g, h = w * w, w * c, w * o
-                nxt = [nums[i] * f for i in islice(run, first)]
-            half = not half
-        else:
-            o = factors[head]
-            c = factors[head + 1]
-            f, g, h = o + c, c, o
-            nxt = [nums[i] * f for i in islice(run, first)]
-        if second:
-            nxt += [nums[i] * g for i in islice(run, second)]
-        if third:
-            nxt += [nums[i] * h for i in islice(run, third)]
-        if add_first:
-            for i, j in islice(pairs, add_first):
-                nxt[j] += nums[i] * f
-        if add_second:
-            for i, j in islice(pairs, add_second):
-                nxt[j] += nums[i] * g
-        if add_third:
-            for i, j in islice(pairs, add_third):
-                nxt[j] += nums[i] * h
-        if not half:
-            nums = nxt
+    for head in step:
+        o = factors[head & -2]
+        c = factors[head | 1]
+        w = o + c
+        scale = (w * w, w * c, w * o, c * c, c * o, o * o) if head & 1 else (w, c, o)
+        # each zip reads one length from `step` per factor: the starts,
+        # then the adds
+        nxt = [nums[i] * f for f, size in zip(scale, step) for i in islice(run, size)]
+        for f, size in zip(scale, step):
+            if size:
+                for i, j in islice(pairs, size):
+                    nxt[j] += nums[i] * f
+        nums = nxt
     if plan.expand:
         # both members of an orbit share one int
         return [nums[i] for i in plan.expand]
@@ -735,15 +688,19 @@ def _partition_numerators(
     that bookkeeping is compiled once into index arrays (_compile) and
     cached, and each weight replays it as integer multiply-adds (_replay).
 
-    When the layer swap maps the edges, the terminals and every weight to
-    themselves (_layer_swap), an entry stands for an orbit of the swap:
-    the walk takes an edge and its image in one step, multiplies by w²,
-    wc, wo, c², co and o², and keeps one partition of each orbit, so the
-    table holds about half the entries.  The final orbits are expanded to
-    every partition of the terminals.
+    When _walks has an orbit walk, so the layer swap x -> x ± n/2 maps the
+    edges and the terminals to themselves, and every weight's factor
+    column equals its mirror, an entry stands for an orbit of the swap:
+    the walk takes an edge and its image in one step, one record of the
+    plan, multiplies by w², wc, wo, c², co and o², and keeps one partition
+    of each orbit, so the table holds about half the entries.  The final
+    orbits are expanded to every partition of the terminals.
     """
     pattern = bytes(map(any, zip(*factors)))
-    swap = _layer_swap(n, edges, terminals, factors)
+    walks = _walks(n, edges, terminals)
+    swap = 0
+    if walks.swap and all(list(walks.mirror(col)) == col for col in factors):
+        swap = n // 2
     try:
         plan = _cached_plan(n, edges, terminals, pattern, swap)
     except _Unretained as big:

@@ -258,6 +258,19 @@ class TestReduce:
         assert rc == 0
         assert capsys.readouterr().out.strip() == "5026338869833/8796093022208"
 
+    def test_unparsable_side_exit_2(self, p3_files, tmp_path, capsys):
+        # a side token that is not an integer is a parse error naming it;
+        # an index out of range is a failed precondition
+        g, w = p3_files
+        for side, code in (("0,x", 2), ("0,5", 4)):
+            rc = main([
+                "reduce", g, w, "--cut-vertex", "1", "--side", side,
+                "--out-graph", str(tmp_path / "a"), "--out-weights", str(tmp_path / "b"),
+            ])
+            assert rc == code
+            err = capsys.readouterr().err
+            assert ("'x'" in err) == (code == 2)
+
     def test_non_cut_vertex_exit_4(self, p3_files, tmp_path):
         g, w = p3_files
         rc = main([

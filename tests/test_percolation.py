@@ -205,6 +205,33 @@ class TestEventProbability:
         info = percolation._cached_plan.cache_info()
         assert (info.currsize, info.hits, info.misses) == (0, 0, 1)
 
+    def test_state_cap_on_the_orbit_walk(self, monkeypatch):
+        # both copies of 0 and 3 are swap-closed terminals: the walk runs
+        # over orbits of the layer swap, and the guard counts orbits
+        w = SymmetricWeight.uniform(bunkbed(cycle(6)), F(1, 3)).to_weight()
+        terminals = (0, 3, 6, 9)
+        want = naive_event_probability(w, ((0, 9),), ())
+        assert percolation._walks(12, w.graph.edges, terminals).swap is not None
+        percolation._cached_plan.cache_clear()
+        peak = connectivity_distribution(w, terminals=terminals).states
+        message = f"over {peak} states exceeds the cap of {peak - 1}"
+        # the plan compiled under the full cap is kept and replayed
+        monkeypatch.setattr(percolation, "STATE_CAP", peak)
+        assert connectivity_distribution(w, terminals=terminals).connection(0, 9) == want
+        monkeypatch.setattr(percolation, "STATE_CAP", peak - 1)
+        with pytest.raises(EnumerationCapError, match=message):
+            connectivity_distribution(w, terminals=terminals)
+        info = percolation._cached_plan.cache_info()
+        assert (info.currsize, info.hits, info.misses) == (1, 2, 1)
+        # a cold compile
+        percolation._cached_plan.cache_clear()
+        with pytest.raises(EnumerationCapError, match=message):
+            connectivity_distribution(w, terminals=terminals)
+        info = percolation._cached_plan.cache_info()
+        assert (info.currsize, info.hits, info.misses) == (0, 0, 1)
+        monkeypatch.setattr(percolation, "STATE_CAP", peak)
+        assert connectivity_distribution(w, terminals=terminals).connection(0, 9) == want
+
 
 def swap_image(g: Graph, edge: tuple[int, int]) -> tuple[int, int]:
     """The edge's image under the layer swap x -> (x + n/2) mod n."""
@@ -315,11 +342,11 @@ class TestKernelAgainstOracle:
         # a draw the layer swap maps to itself (n = 2 with its post, say)
         # is walked over the swap's orbits where that schedule is no wider
         swap = 0
-        if swap_symmetric(g, weights, terminals) and percolation._swap_walk(n, g.edges, terminals):
+        if swap_symmetric(g, weights, terminals) and percolation._walks(n, g.edges, terminals).swap:
             swap = n // 2
-            order = percolation._swap_walk(n, g.edges, terminals)[1].order
+            order = percolation._walks(n, g.edges, terminals).swap.order
         else:
-            order = percolation._edge_schedule(n, g.edges, terminals).order
+            order = percolation._walks(n, g.edges, terminals).ordinary.order
         branches = [
             (any(w.values[k] > 0 for w in weights), any(w.values[k] < 1 for w in weights))
             for k in order
@@ -380,7 +407,7 @@ class TestSwapWalk:
                 tuple(F(1, k + 2) for k in range(bb.base.vertex_count)),
             ).to_weight()
             dist = connectivity_distribution(w, terminals=terminals)
-            order = percolation._swap_walk(n, g.edges, terminals)[1].order
+            order = percolation._walks(n, g.edges, terminals).swap.order
             walk = [g.edges[k] for k in order]
             width, states = frontier_counts(n, walk, terminals, [(True, True)] * len(walk), h)
             assert (dist.width, dist.states) == (width, states)
@@ -614,8 +641,8 @@ class TestCompiledWalk:
         # of the step records and of the final labels
         k4 = Graph(4, ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)))
         cases = [
-            (cycle(6), None, "swap", 24_501, 12, 81_199, 126, 48_284),
-            (cycle(4), (0, 2, 4, 6), "swap", 57, 6, 463, 84, 15),
+            (cycle(6), None, "swap", 24_501, 12, 81_199, 120, 48_284),
+            (cycle(4), (0, 2, 4, 6), "swap", 57, 6, 463, 80, 15),
             (cycle(6), (0, 9), "ordinary", 84, 6, 760, 126, 2),
             (k4, (0, 1, 4, 5), "ordinary", 432, 7, 3_861, 112, 15),
         ]
@@ -735,12 +762,14 @@ class TestTerminalDistributions:
         spec = ConnectivitySpec(positive=((x, y),))
         greedy_dist = connectivity_distribution(w, terminals=terminals)
         greedy = event_probability(w, spec).value
-        shuffled = lambda n, edges, terminals: percolation._walk(edges, terminals, order)
+        shuffled = lambda n, edges, terminals: percolation._Walks(
+            percolation._walk(edges, terminals, order), None, None
+        )
         # the plan cache is keyed by graph, terminals and branches, not by
         # the order: clear it so the shuffled order is compiled, and again
         # so its plans do not outlive the patch
         percolation._cached_plan.cache_clear()
-        with mock.patch.object(percolation, "_edge_schedule", shuffled):
+        with mock.patch.object(percolation, "_walks", shuffled):
             dist = connectivity_distribution(w, terminals=terminals)
             value = event_probability(w, spec).value
         percolation._cached_plan.cache_clear()
@@ -781,7 +810,7 @@ class TestTerminalDistributions:
             for order in orders:
                 assert sorted(order) == list(range(len(pairs)))
             greedy = percolation._walk(pairs, terminals, orders[0])
-            assert percolation._edge_schedule(n, pairs, terminals).width <= greedy.width
+            assert percolation._walks(n, pairs, terminals).ordinary.width <= greedy.width
         assert seen == {"restriction", "isolated vertex", "several components"}
         assert paired_seen == {True, False}
 
