@@ -69,10 +69,6 @@ class Graph:
             adj[v].append((u, i))
         return tuple(tuple(a) for a in adj)
 
-    @cached_property
-    def edge_index(self) -> dict[tuple[int, int], int]:
-        return {e: i for i, e in enumerate(self.edges)}
-
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
 

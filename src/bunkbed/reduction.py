@@ -14,10 +14,11 @@ over pieces with at most two port base vertices.  Each piece returns the
 exact distribution over partitions of both layers of its ports, so one
 solve of a pair gives every connection between x-, x+, y- and y+:
 two_point_probability reads one of them, layer_probabilities reads
-P(x- ~ y-) and P(x- ~ y+) together.  A piece with no usable cut vertex is
-a leaf: one kernel call with both layers of its ports as terminals, so it
-costs the partitions of a narrow sweep front rather than of the whole
-piece.
+P(x- ~ y-) and P(x- ~ y+) together.  Each step splits at the most
+balanced cut vertex, so the recursion is shallow on long chains of
+blocks.  A piece with no cut vertex, one block, is a leaf: one kernel
+call with both layers of its ports as terminals, so it costs the
+partitions of a narrow sweep front rather than of the whole piece.
 """
 
 from __future__ import annotations
@@ -133,8 +134,8 @@ def collapse_side(
     probabilities.  Works for arbitrary (not necessarily symmetric) weights.
 
     The collapsed post value is G's P(v- ~ v+), solved by the decomposition
-    engine, so the cap applies to each block of side G, not to its whole
-    bunkbed.
+    engine on the component of G holding v, so the cap applies to each
+    block of that component, not to G's whole bunkbed.
     """
     if split.whole != f.base:
         raise ValueError("split does not belong to the given bunkbed's base graph")
@@ -229,21 +230,17 @@ def _join(g_table, h_table):
     return out, g_den * h_den
 
 
-def _edges_within(base: Graph, vertex_set: set[int]) -> int:
-    return sum(1 for u, v in base.edges if u in vertex_set and v in vertex_set)
-
-
 def _split_step(base, values, split, g_ports, origin, stats, cap):
     """Solve side G of `split` for the base vertices `g_ports`, which
     include the cut vertex v, and give G's table and the values of side H's
     bunkbed.  H's post at v carries G's P(v- ~ v+) when v is G's only port
     (a collapse), and is closed otherwise, since G's table holds it (a
     join)."""
-    g_table = _solve(
+    g_ports = [split.g_vertex_index[p] for p in g_ports]
+    g_table = _pair_table(
         split.side_g,
         [values[t] for t in _edge_images(base, split.g_vertices, split.g_edges)],
-        tuple(split.g_vertex_index[p] for p in g_ports),
-        tuple(origin[w] for w in split.g_vertices), stats, cap,
+        g_ports[0], g_ports[-1], [origin[w] for w in split.g_vertices], stats, cap,
     )
     h_vals = [values[t] for t in _edge_images(base, split.h_vertices, split.h_edges)]
     nums, den = g_table
@@ -255,57 +252,48 @@ def _split_step(base, values, split, g_ports, origin, stats, cap):
 def _solve(base, values, ports, origin, stats, cap):
     """The table of bunkbed(base) under `values` for `ports`.
 
-    base is connected, except that collapse_side may pass the G side of a
-    split of a disconnected graph; that side's one port is v, so only
-    collapses and leaves run on it, and both hold on any graph.  `origin`
-    maps current base vertices to vertices of the original query graph,
-    for error reporting only.
+    base is connected: every piece reaches here through _pair_table, which
+    keeps the component holding the ports, so a leaf is one block.
+    `origin` maps current base vertices to vertices of the original query
+    graph, for error reporting only.
     """
-    # Rank every split: any collapse (a side holding no port) ahead of any
-    # join (a cut vertex separating the two ports).  The collapse removing
-    # most edges wins, then the join whose larger side is smallest, then the
-    # first cut vertex in sorted order.
+    # One rule at every cut vertex v: join when v separates the two ports,
+    # G being every component of base - v but the one holding the second
+    # port, so G holds the first port and owns the post at v; otherwise
+    # collapse the components holding no port, the first half of them when
+    # v is the only port.  Split at the v whose larger side has the fewest
+    # vertices, ties to the first v in sorted order, so a chain of blocks
+    # recurses to a depth logarithmic in its length.
+    n = base.vertex_count
     best = None
     for v in sorted(cut_vertices(base)):
         comps = base.components(skip=v)
-        chosen = [i for i, c in enumerate(comps) if not any(p in c for p in ports)]
-        if chosen:
-            if len(chosen) == len(comps):
-                # the only port is v itself; keep the cheapest component on
-                # the ports' side so the split stays proper
-                chosen.remove(min(
-                    chosen,
-                    key=lambda i: 2 * _edges_within(base, set(comps[i]) | {v}) + len(comps[i]),
-                ))
-            side = {v} | {w for i in chosen for w in comps[i]}
-            rank = (0, -(2 * _edges_within(base, side) + len(side) - 1))
+        free = [i for i, c in enumerate(comps) if not any(p in c for p in ports)]
+        join = len(comps) - len(free) == 2
+        if join:
+            chosen = [i for i, c in enumerate(comps) if ports[1] not in c]
         else:
-            # two components, one port each; G, holding the first port,
-            # owns the post at v
-            ia = 0 if ports[0] in comps[0] else 1
-            eg = 2 * _edges_within(base, set(comps[ia]) | {v}) + len(comps[ia]) + 1
-            eh = 2 * _edges_within(base, set(comps[1 - ia]) | {v}) + len(comps[1 - ia])
-            rank, chosen = (1, max(eg, eh)), [ia]
-        if best is None or rank < best[0]:
-            best = (rank, v, chosen)
+            chosen = free if len(free) < len(comps) else free[: len(free) // 2]
+        g = 1 + sum(len(comps[i]) for i in chosen)
+        larger = max(g, n + 1 - g)
+        if best is None or larger < best[0]:
+            best = (larger, v, chosen, join)
 
     if best is not None:
-        (kind, _), v, chosen = best
-        collapse = kind == 0
+        _, v, chosen, join = best
         split = split_at(base, v, chosen)
         g_table, h_vals = _split_step(
-            base, values, split, (v,) if collapse else (ports[0], v), origin, stats, cap
+            base, values, split, (ports[0], v) if join else (v,), origin, stats, cap
         )
         h_table = _solve(
             split.side_h, h_vals,
-            tuple(split.h_vertex_index[p] for p in (ports if collapse else (v, ports[1]))),
+            tuple(split.h_vertex_index[p] for p in ((v, ports[1]) if join else ports)),
             tuple(origin[w] for w in split.h_vertices), stats, cap,
         )
-        return h_table if collapse else _join(g_table, h_table)
+        return _join(g_table, h_table) if join else h_table
 
-    # No usable cut vertex: one kernel call on this block's bunkbed.
+    # No cut vertex: one kernel call on this block's bunkbed.
     total = bunkbed(base).total
-    n = base.vertex_count
     terminals = tuple(t for p in ports for t in (p, p + n))
     try:
         table = _cached_distribution(total, tuple(values), terminals, cap)
@@ -330,9 +318,10 @@ def _weight_values(base: Graph, weight: Weight | SymmetricWeight) -> list:
     return list(weight.values)
 
 
-def _pair_table(base, values, abar, bbar, stats, cap):
+def _pair_table(base, values, abar, bbar, origin, stats, cap):
     """The table over both layers of the ports (abar,) or (abar, bbar),
-    solved on the component holding them; None when they lie in two."""
+    solved on the component holding them; None when they lie in two.
+    `origin` maps base vertices to vertices of the query graph."""
     comp = next(c for c in base.components() if abar in c)
     if bbar not in comp:
         return None
@@ -341,7 +330,7 @@ def _pair_table(base, values, abar, bbar, stats, cap):
         values = [values[t] for t in _edge_images(base, vemb, eemb)]
         base, abar, bbar = sub, comp.index(abar), comp.index(bbar)
     ports = (abar,) if abar == bbar else (abar, bbar)
-    return _solve(base, values, ports, tuple(comp), stats, cap)
+    return _solve(base, values, ports, tuple(origin[w] for w in comp), stats, cap)
 
 
 def two_point_probability(
@@ -359,7 +348,7 @@ def two_point_probability(
     then solves it once for the table over both layers of the pair: collapse
     strips every side away from the ports into a post value, a cut vertex
     separating the ports joins the tables of its two sides, and a piece
-    with no usable cut vertex is one kernel call.  P(a ~ b) is read off that
+    with no cut vertex is one kernel call.  P(a ~ b) is read off that
     table.  Accepts an arbitrary weight on bunkbed(base).total or a
     SymmetricWeight; collapsed weights are generally not symmetric, so all
     internal work is on arbitrary weights.  `threads` is accepted for
@@ -373,7 +362,7 @@ def two_point_probability(
             raise ValueError(f"bunkbed vertex {t} out of range")
     stats = _Stats()
     abar, bbar = a % n, b % n
-    table = None if a == b else _pair_table(base, values, abar, bbar, stats, cap)
+    table = None if a == b else _pair_table(base, values, abar, bbar, range(n), stats, cap)
     if table is None:
         value = ONE if a == b else ZERO
     else:
@@ -406,7 +395,7 @@ def layer_probabilities(
     for t in (x, y):
         if not 0 <= t < base.vertex_count:
             raise ValueError(f"base vertex {t} out of range")
-    table = _pair_table(base, values, x, y, _Stats(), cap)
+    table = _pair_table(base, values, x, y, range(base.vertex_count), _Stats(), cap)
     if table is None:
         return ZERO, ZERO
     nums, den = table

@@ -201,6 +201,14 @@ class TestCheck:
         assert main(["check", g, "--weights", "grid:1/2", "--pair", "0", "7"]) == 4
         assert "vertex 7 out of range" in capsys.readouterr().err
 
+    def test_long_path_one_report(self, tmp_path, capsys):
+        # a 500-vertex path: the engine's recursion stays shallow
+        g = tmp_path / "p500.txt"
+        g.write_text(format_graph(Graph(500, tuple((i, i + 1) for i in range(499)))))
+        assert main(["check", str(g), "--pair", "0", "0", "--weights", "grid:1/2"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["violations"] == [] and len(payload["pairs"]) == 1
+
     def test_seeded_random_reproducible(self, p3_files, capsys):
         g, _ = p3_files
         main(["check", g, "--weights", "random:3", "--seed", "42"])

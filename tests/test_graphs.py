@@ -49,7 +49,6 @@ class TestGraph:
     def test_edges_normalized_order_preserved(self):
         g = Graph(4, ((3, 1), (0, 2)))
         assert g.edges == ((1, 3), (0, 2))
-        assert g.edge_index[(1, 3)] == 0
 
     def test_components(self):
         g = Graph(5, ((0, 1), (2, 3)))

@@ -17,6 +17,7 @@ from bunkbed.percolation import (
 from bunkbed.reduction import (
     bunkbed_split,
     collapse_side,
+    layer_probabilities,
     two_point_probability,
     zero_post_weight,
 )
@@ -149,6 +150,21 @@ class TestCollapseSide:
         )
         assert cs.collapsed_post_value == whole_side
         assert whole_side == F(118172508262033346635, 328256967394537077627)
+
+    def test_side_components_away_from_the_cut_vertex_are_not_enumerated(self):
+        # K4 on 0-3, vertex 4 isolated, a pendant 5 at 0; side G is the K4
+        # and vertex 4, whose bunkbed has 17 edges.  Only the K4 block, 16
+        # edges, can reach 0- or 0+, so it alone meets the cap of 16
+        k4 = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+        base = Graph(6, k4 + ((0, 5),))
+        f = bunkbed(base)
+        s = split_at(base, 0, [0, 1])
+        assert s.g_vertices == (0, 1, 2, 3, 4)
+        cs = collapse_side(f, Weight.uniform(f.total, F(1, 2)), s, cap=16)
+        block = bunkbed(Graph(4, k4))
+        assert cs.collapsed_post_value == connection_probability(
+            Weight.uniform(block.total, F(1, 2)), 0, block.plus_vertex(0)
+        )
 
 
 class TestZeroPostWeight:
@@ -384,3 +400,28 @@ class TestTwoPointProbability:
         sw = SymmetricWeight.uniform(bunkbed(P3), F(1, 2))
         with pytest.raises(ValueError):
             two_point_probability(BOWTIE, sw, 0, 1)
+
+
+class TestDeepInputs:
+    """Hundreds of blocks glued at cut vertices: the engine splits at the
+    most balanced cut vertex, so its recursion stays logarithmically deep."""
+
+    def test_long_path_from_an_end(self):
+        # P500, p = q = 1/3: a_k = P(k- ~ k+) on the path k..499 satisfies
+        # a_499 = q and a_k = 1 - (1 - q)(1 - p^2 a_{k+1})
+        p = q = F(1, 3)
+        base = Graph(500, tuple((i, i + 1) for i in range(499)))
+        a = q
+        for _ in range(499):
+            a = 1 - (1 - q) * (1 - p * p * a)
+        sw = SymmetricWeight.uniform(bunkbed(base), p)
+        assert layer_probabilities(base, sw, 0, 0) == (1, a)
+
+    def test_large_star_at_its_centre(self):
+        # K1,599, p = q = 1/3: 0- reaches 0+ by its own post or through
+        # some leaf whose two edges and post are open
+        p = q = F(1, 3)
+        base = Graph(600, tuple((0, i) for i in range(1, 600)))
+        sw = SymmetricWeight.uniform(bunkbed(base), p)
+        cross = 1 - (1 - q) * (1 - p * p * q) ** 599
+        assert layer_probabilities(base, sw, 0, 0) == (1, cross)
