@@ -2,8 +2,11 @@
 
 Exit codes: 0 success, 1 a bunkbed violation was found, 2 parse error or a
 file that cannot be read (missing, a directory, not UTF-8 text) or written,
-3 enumeration cap or family bound exceeded, 4 precondition failed,
-141 standard output closed early (as 128 + SIGPIPE).
+3 enumeration cap or family bound exceeded, or the input ran out of the
+interpreter's recursion depth or of memory, 4 precondition failed,
+5 internal error (any other exception), 141 standard output closed early
+(as 128 + SIGPIPE).  Every code but 0 and 1 prints one `error:` line on
+standard error and no traceback.
 Rationals are printed as num/den; decimals are labeled approximations.
 """
 
@@ -52,6 +55,7 @@ EXIT_VIOLATION = 1
 EXIT_PARSE = 2
 EXIT_CAP = 3
 EXIT_PRECONDITION = 4
+EXIT_INTERNAL = 5
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE
 
 
@@ -326,9 +330,28 @@ def main(argv=None) -> int:
     except (EnumerationCapError, BoundExceededError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
+    except (RecursionError, MemoryError) as exc:
+        # a limit of this process, not a fault: the input is too large
+        print(f"error: {_describe(exc)}", file=sys.stderr)
+        return EXIT_CAP
     except (NotACutVertexError, DegenerateSplitError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
+    except Exception as exc:
+        # never exit 1, which means a violation was found; the line names
+        # where the exception was raised in place of the traceback
+        tb = exc.__traceback__
+        while tb.tb_next is not None:
+            tb = tb.tb_next
+        where = f"{Path(tb.tb_frame.f_code.co_filename).name}:{tb.tb_lineno}"
+        print(f"error: internal error at {where}: {_describe(exc)}", file=sys.stderr)
+        return EXIT_INTERNAL
+
+
+def _describe(exc: BaseException) -> str:
+    """The exception's type and message, on one line."""
+    text = " ".join(str(exc).split())
+    return f"{type(exc).__name__}: {text}" if text else type(exc).__name__
 
 
 if __name__ == "__main__":

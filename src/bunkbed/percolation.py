@@ -28,11 +28,14 @@ and which branches some weight can take, never on the weights themselves.
 So a walk is compiled once into a plan and cached, one record per step:
 the entries that start the next table under each of the step's factors
 (for one edge: whole, closed and open), then the entries that add into
-one already started, with forgetting folded into the same step.  Each
-weight's integer factors are read in one pass over its values, and the
-weight replays the plan step by step as integer multiply-adds over plain
-lists: a repeated walk, or one over many weights, does the partition
-bookkeeping once.
+one already started, as runs of sources and targets, with forgetting
+folded into the same step.  The runs are tuples, and each table position
+is one int object shared by the whole plan, so a replay makes no int to
+read an index; a plan costs about 8 bytes per index and 32 per position,
+and one of more than 2 MB is not cached.  Each weight's integer factors
+are read in one pass over its values, and the weight replays the plan
+step by step as integer multiply-adds over plain lists: a repeated walk,
+or one over many weights, does the partition bookkeeping once.
 
 When swapping the layers (x -> x ± n/2) maps the walk to itself, as on a
 bunkbed whose weight gives both copies of each edge the same value and
@@ -52,11 +55,10 @@ STATE_CAP counts orbits.
 from __future__ import annotations
 
 import time
-from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import islice, repeat
+from itertools import repeat
 from operator import eq, itemgetter
 from typing import NamedTuple, Sequence
 
@@ -378,18 +380,18 @@ def _walks(n: int, edges: tuple[tuple[int, int], ...], terminals: tuple[int, ...
 class _Plan(NamedTuple):
     """A compiled walk, read step by step by _replay.
 
-    `steps` holds one record per step: a head, then the lengths of the
-    step's start runs and of its add runs, one of each per factor, which
-    follow each other in `indices`.  A step over edge k alone has head 2k
-    and three factors, w, c and o: the edge's whole denominator, closed
-    and open numerator (a weight's factor list holds o at 2k and c after
-    it).  A step over edge k and its image under the layer swap has head
-    2k + 1 and six factors, w², wc, wo, c², co and o²: both edges have the
-    same factors.  The runs index the table before the step.  The table
-    after it lists, in order, one entry started by each index of the start
-    runs, times the run's factor; then each add run's pairs (i, j) add
-    entry i times the run's factor into entry j.  A run of pairs counts
-    each pair once in `steps`.
+    `steps` holds one record per step, end to end: a head, then one start
+    run per factor, then, per factor, a source run and a target run.  A step
+    over edge k alone has head 2k and three factors, w, c and o: the
+    edge's whole denominator, closed and open numerator (a weight's factor
+    list holds o at 2k and c after it).  A step over edge k and its image
+    under the layer swap has head 2k + 1 and six factors, w², wc, wo, c²,
+    co and o²: both edges have the same factors.  Each run is a tuple of
+    indices into the table before the step, but for the target runs, which
+    index the table after it; an empty run is the shared empty tuple.  The
+    table after the step lists, in order, one entry started by each index of
+    the start runs, times the run's factor; then each source i adds entry i
+    times the run's factor into the target j beside it.
 
     An outcome takes the factor w for an edge whose branches leave one
     partition (u and v already share a component, or forgetting makes the
@@ -398,19 +400,23 @@ class _Plan(NamedTuple):
     read after the vertices whose last edge this is are forgotten.
 
     On a walk over orbits of the layer swap each entry stands for one
-    orbit, and `expand` lists, for every partition of the terminals, the
-    entry of its orbit; an ordinary walk's `expand` is empty.  `labels`
-    are the final partitions' terminal labels, `states` the peak number of
-    entries (on an ordinary walk, before any forgetting), `width` the
-    schedule's.
+    orbit, and `expand` is an itemgetter that gathers, for every partition
+    of the terminals, the entry of its orbit; it is None where every entry
+    is one partition, on an ordinary walk or where no orbit has two.
+    `labels` are the final partitions' terminal labels, `states` the peak
+    number of entries (on an ordinary walk, before any forgetting), `width`
+    the schedule's.  Every index of a table position is one int object,
+    shared by the whole plan; `nbytes` counts what the records and the
+    gather hold: 8 bytes per index and per slot of `steps`, 40 per run and
+    32 per shared int.
     """
 
-    steps: array
-    indices: array
-    expand: array
+    steps: list
+    expand: itemgetter | None
     labels: tuple[tuple[int, ...], ...]
     states: int
     width: int
+    nbytes: int
 
 
 class _Unretained(Exception):
@@ -465,8 +471,9 @@ def _compile(
     table = {start: 0}  # label -> index in the table
     mirrors = {start: start} if swap else None  # label in the table -> its image
     states = 1
-    steps = array("I")
-    indices = array("I")
+    positions = [0]  # the one int object of each table position
+    steps: list = []
+    nbytes = 0  # the records' bytes, but for the shared ints
     order, forget = schedule.order, schedule.forget
     at = 0
     while at < len(order):
@@ -474,32 +481,40 @@ def _compile(
         u, v = edges[k]
         # a step walks one edge, or on a swap walk an edge and its image
         span = order[at: at + (2 if swap and v - u != swap else 1)]
-        table, mirrors, size, starts, adds = _compile_step(
+        table, mirrors, size, runs = _compile_step(
             table, mirrors, tuple(map(edges.__getitem__, span)), forget[at: at + len(span)],
-            gone, pattern[2 * k], pattern[2 * k + 1],
+            gone, pattern[2 * k], pattern[2 * k + 1], positions,
         )
         at += len(span)
         states = max(states, size)
         if states > STATE_CAP:
             raise EnumerationCapError(states, STATE_CAP, unit="states")
-        steps.extend((2 * k + len(span) - 1, *map(len, starts), *(len(run) // 2 for run in adds)))
-        for run in starts + adds:
-            indices.extend(run)
+        steps.append(2 * k + len(span) - 1)
+        steps += runs
+        nbytes += 8 + sum(8 + (40 + 8 * len(run) if run else 0) for run in runs)
     # one terminal: itemgetter picks a one-character str
     pick = itemgetter(*terminals) if terminals else lambda lab: ""
     labels = []
-    expand = array("I")
-    while table:  # emptied as it is read: the labels replace it, not add to it
+    expand = []
+    orbits = len(table)
+    # emptied as they are read: the labels replace the table and the images
+    while table:
         lab, i = table.popitem()
-        if swap and mirrors[lab] != lab:
-            labels.append(tuple(map(ord, pick(mirrors[lab]))))
+        if swap:
+            twin = mirrors.pop(lab)
+            if twin != lab:
+                labels.append(tuple(map(ord, pick(twin))))
+                expand.append(i)
             expand.append(i)
         labels.append(tuple(map(ord, pick(lab))))
-        if swap:
-            expand.append(i)
     labels.reverse()
-    expand.reverse()
-    return _Plan(steps, indices, expand, tuple(labels), states, schedule.width)
+    gather = None
+    if len(expand) > orbits:  # an orbit of two: at least two entries, so a tuple
+        expand.reverse()
+        gather = itemgetter(*expand)
+        nbytes += 8 * len(expand)
+    nbytes += 32 * len(positions)
+    return _Plan(steps, gather, tuple(labels), states, schedule.width, nbytes)
 
 
 def _compile_step(
@@ -510,12 +525,16 @@ def _compile_step(
     gone: str,
     can_open: int,
     can_close: int,
-) -> tuple[dict[str, int], dict[str, str] | None, int, list[array], list[array]]:
+    positions: list[int],
+) -> tuple[dict[str, int], dict[str, str] | None, int, list[tuple[int, ...]]]:
     """One step of _compile, over one edge or over an edge and its image,
     each followed by forgetting the vertices in `drops` beside it: the next
     table, on a swap walk each of its labels' image, its number of entries
-    (on an ordinary walk, before forgetting), and the step's start runs
-    and add runs, one of each per factor (see _Plan).
+    (on an ordinary walk, before forgetting), and the step's runs: one
+    start run per factor, then, per factor, a source and a target run
+    (see _Plan).  A new entry's index is taken from `positions`, which
+    grows by one int whenever a table is longer than every one before it,
+    so each table position is one int object throughout the plan.
 
     One routine, `walk`, takes a stream of labels through one edge and the
     forgetting after it, and gives each outcome its kind: whole, closed or
@@ -529,6 +548,8 @@ def _compile_step(
     and its image the smaller label represents their orbit.  An orbit of
     two adds into it once, or twice when the outcome is its own image; an
     orbit of one adds only the outcomes that are representatives themselves.
+    A swap step raises EnumerationCapError as soon as it meets more than
+    STATE_CAP distinct orbits, before it lists the rest of its outcomes.
     """
     forgotten = {dropped: {} for dropped in drops}  # label before -> after
 
@@ -568,10 +589,14 @@ def _compile_step(
             entries = walk(entries, u, v, dropped)
         return entries
 
-    flows = [[] for _ in range(3 * len(step))]  # per kind: (entry, label it flows into)
+    cap = STATE_CAP
+    # per kind: the entries that flow, and the label each flows into
+    sources = [[] for _ in range(3 * len(step))]
+    keys = [[] for _ in sources]
     if mirrors is None:  # an ordinary step over one edge
         for i, kind, key in through(table.values(), table, step, drops):
-            flows[kind].append((i, key))
+            sources[kind].append(i)
+            keys[kind].append(key)
         images = None
     else:
         image = mirrors.__getitem__
@@ -589,25 +614,35 @@ def _compile_step(
                 key, twin = twin, key
             elif key == twin and not own:
                 # a partition that is its own image: R and S both reach it
-                flows[kind].append((i, key))
+                sources[kind].append(i)
+                keys[kind].append(key)
             images[key] = twin
-            flows[kind].append((i, key))
+            if len(images) > cap:
+                raise EnumerationCapError(len(images), cap, unit="states")
+            sources[kind].append(i)
+            keys[kind].append(key)
     nxt: dict[str, int] = {}  # label after forgetting -> index
-    starts = [array("I") for _ in flows]
-    adds = [array("I") for _ in flows]
-    for flow, start, add in zip(flows, starts, adds):
-        for i, key in flow:
+    starts = []
+    adds = []
+    for flow, into in zip(sources, keys):
+        start, src, dst = [], [], []
+        for i, key in zip(flow, into):
             j = nxt.get(key)
             if j is None:
-                nxt[key] = len(nxt)
+                j = len(nxt)
+                if j == len(positions):
+                    positions.append(j)
+                nxt[key] = positions[j]
                 start.append(i)
             else:
-                add.append(i)
-                add.append(j)
+                src.append(i)
+                dst.append(j)
+        starts.append(tuple(start))
+        adds += tuple(src), tuple(dst)
     if images is None and drops[0]:
         # before forgetting, the table held the labels forgotten
-        return nxt, images, len(forgotten[drops[0]]), starts, adds
-    return nxt, images, len(nxt), starts, adds
+        return nxt, images, len(forgotten[drops[0]]), starts + adds
+    return nxt, images, len(nxt), starts + adds
 
 
 @lru_cache(maxsize=1024)
@@ -619,11 +654,12 @@ def _cached_plan(
     swap: int,
 ) -> _Plan:
     """The compiled walk in the schedule's order, over orbits of the layer
-    swap when `swap` is nonzero, kept while it holds at most
-    STATE_CAP // 4 indices (2 MB); a larger one leaves in _Unretained."""
+    swap when `swap` is nonzero, kept while its `nbytes` is at most
+    STATE_CAP (2 MB), so the cache's 1,024 plans hold at most 2 GB of
+    records; a larger one leaves in _Unretained."""
     walks = _walks(n, edges, terminals)
     plan = _compile(n, edges, terminals, walks.swap if swap else walks.ordinary, pattern, swap)
-    if len(plan.indices) > STATE_CAP // 4:
+    if plan.nbytes > STATE_CAP:
         raise _Unretained(plan)
     return plan
 
@@ -631,9 +667,8 @@ def _cached_plan(
 def _replay(plan: _Plan, factors: list[int]) -> list[int]:
     """The numerators of a compiled walk's final table under one weight,
     one per partition of the terminals; factors[2k] and factors[2k + 1]
-    hold the open and the closed numerator of edge k."""
-    run = iter(plan.indices)
-    pairs = zip(run, run)  # consecutive indices (i, j)
+    hold the open and the closed numerator of edge k.  The records are
+    read as _Plan lays them out, from one iterator over `steps`."""
     step = iter(plan.steps)
     nums = [1]
     for head in step:
@@ -641,17 +676,17 @@ def _replay(plan: _Plan, factors: list[int]) -> list[int]:
         c = factors[head | 1]
         w = o + c
         scale = (w * w, w * c, w * o, c * c, c * o, o * o) if head & 1 else (w, c, o)
-        # each zip reads one length from `step` per factor: the starts,
-        # then the adds
-        nxt = [nums[i] * f for f, size in zip(scale, step) for i in islice(run, size)]
-        for f, size in zip(scale, step):
-            if size:
-                for i, j in islice(pairs, size):
+        # each zip reads one run from `step` per factor: the starts, then
+        # the sources and targets of the adds
+        nxt = [nums[i] * f for f, run in zip(scale, step) for i in run]
+        for f, src, dst in zip(scale, step, step):
+            if src:
+                for i, j in zip(src, dst):
                     nxt[j] += nums[i] * f
         nums = nxt
-    if plan.expand:
+    if plan.expand is not None:
         # both members of an orbit share one int
-        return [nums[i] for i in plan.expand]
+        return list(plan.expand(nums))
     return nums
 
 
@@ -685,7 +720,7 @@ def _partition_numerators(
 
     Which entries go where depends on the graph, the terminals, the
     schedule and which branches some weight can take, not on the weights:
-    that bookkeeping is compiled once into index arrays (_compile) and
+    that bookkeeping is compiled once into runs of indices (_compile) and
     cached, and each weight replays it as integer multiply-adds (_replay).
 
     When _walks has an orbit walk, so the layer swap x -> x ± n/2 maps the

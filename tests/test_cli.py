@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import bunkbed
+from bunkbed import cli
 from bunkbed.cli import main
 from bunkbed.graphs import Graph, format_graph, parse_graph
 from bunkbed import percolation
@@ -379,6 +380,26 @@ class TestInputEdges:
         monkeypatch.setenv("BUNKBED_CAP", "x")
         assert main(["prob", g, w, "0", "2"]) == 2
         assert "BUNKBED_CAP" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("exc, code, words", [
+        (RecursionError("maximum recursion depth exceeded"), 3, "RecursionError: maximum recursion"),
+        (MemoryError(), 3, "MemoryError"),
+        (KeyError("x"), 5, "internal error at test_cli.py:"),
+        (ZeroDivisionError("division\nby zero"), 5, "ZeroDivisionError: division by zero"),
+    ])
+    def test_a_crash_is_not_a_violation(self, p3_files, monkeypatch, capsys, exc, code, words):
+        # exit 1 means a violation was found: any other exception exits 3
+        # (out of recursion depth or memory) or 5, with one line, no traceback
+        def crash(*args, **kwargs):
+            raise exc
+
+        g, _ = p3_files
+        monkeypatch.setattr(cli, "check_graph", crash)
+        assert main(["check", g, "--weights", "grid:1/2"]) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert words in captured.err and "Traceback" not in captured.err
 
     def test_decimal_grid_values_still_parse(self, p3_files, capsys):
         g, _ = p3_files

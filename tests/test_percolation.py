@@ -232,6 +232,18 @@ class TestEventProbability:
         monkeypatch.setattr(percolation, "STATE_CAP", peak)
         assert connectivity_distribution(w, terminals=terminals).connection(0, 9) == want
 
+    def test_an_orbit_step_stops_at_the_first_orbit_past_the_cap(self, monkeypatch):
+        # a pair step lists up to six outcomes per orbit: it refuses as soon
+        # as it has met STATE_CAP + 1 distinct orbits, not after the level
+        w = SymmetricWeight.uniform(bunkbed(cycle(6)), F(1, 3)).to_weight()
+        terminals = (0, 3, 6, 9)
+        percolation._cached_plan.cache_clear()
+        cap = connectivity_distribution(w, terminals=terminals).states // 2
+        monkeypatch.setattr(percolation, "STATE_CAP", cap)
+        percolation._cached_plan.cache_clear()
+        with pytest.raises(EnumerationCapError, match=f"over {cap + 1} states exceeds the cap of {cap}$"):
+            connectivity_distribution(w, terminals=terminals)
+
 
 def swap_image(g: Graph, edge: tuple[int, int]) -> tuple[int, int]:
     """The edge's image under the layer swap x -> (x + n/2) mod n."""
@@ -621,9 +633,56 @@ class TestCompiledWalk:
         assert compile_.call_count == plans
         assert percolation._cached_plan.cache_info().currsize == plans
 
+    def test_plans_past_the_small_int_cache(self, monkeypatch):
+        # bunkbed(C4) with every vertex a terminal: both walks hold tables of
+        # more than 256 entries, whose indices are not the interpreter's
+        # cached small ints.  A batch of symmetric weights takes the orbit
+        # walk, the same batch with one asymmetric weight the ordinary one.
+        # Each weight has edges at 0 or 1, which kill branches of that
+        # weight only, so every branch is walked, and the partitions that
+        # every weight gives 0 are dropped: 479 of the 958 remain.
+        c4 = bunkbed(cycle(4))
+        g = c4.total
+        symmetric = [
+            SymmetricWeight(c4, base, posts).to_weight()
+            for base, posts in [
+                ((F(0), F(1, 2), F(2, 3), F(1, 4)), (F(1, 2), F(1, 3), F(3, 4), F(1, 5))),
+                ((F(1, 3), F(1), F(2, 3), F(1, 4)), (F(1, 2), F(0), F(1), F(1, 5))),
+                ((F(1), F(1, 2), F(0), F(0)), (F(0), F(1, 3), F(3, 4), F(1))),
+            ]
+        ]
+        asymmetric = symmetric[0].replace(c4.plus_edge(1), F(1, 7))
+        generic = SymmetricWeight.uniform(c4, F(1, 3)).to_weight()
+        compile_, plans = percolation._compile, []
+
+        def recording(*args):
+            plans.append(compile_(*args))
+            return plans[-1]
+
+        monkeypatch.setattr(percolation, "_compile", recording)
+        alone = connectivity_distribution(generic)
+        for walk, batch, states in (("swap", symmetric, 516), ("ordinary", symmetric + [asymmetric], 958)):
+            percolation._cached_plan.cache_clear()
+            plans.clear()
+            first = connectivity_distributions(g, batch)
+            (plan,) = plans
+            assert ("ordinary" if plan.expand is None else "swap", plan.states) == (walk, states)
+            # every index of a table position is one int object
+            runs = [run for run in plan.steps if type(run) is tuple]
+            assert max(map(max, filter(None, runs))) >= 256
+            assert len({id(i) for run in runs for i in run}) == len({i for run in runs for i in run})
+            for w, dist in zip(batch, first):
+                assert partition_masses(dist) == naive_terminal_distribution(w, dist.terminals)
+            assert (len(first[0].labels), len(alone.labels)) == (479, 958)
+            # the cached plan replayed again gives the same columns
+            second = connectivity_distributions(g, batch)
+            assert plans == [plan]
+            for a, b in zip(first, second):
+                assert (a.labels, a.numerators) == (b.labels, b.numerators)
+
     def test_a_plan_past_the_retain_bound_is_replayed_and_dropped(self, monkeypatch):
-        # the C6 event's plan holds far more index entries than its peak
-        # of states: with STATE_CAP at that peak it is walked, not kept
+        # the C6 event's plan takes far more bytes than its peak of states:
+        # with STATE_CAP at that peak it is walked, not kept
         w = SymmetricWeight.uniform(bunkbed(cycle(6)), F(1, 3)).to_weight()
         dist = connectivity_distribution(w, terminals=(0, 9))
         want, peak = dist.connection(0, 9), dist.states
@@ -637,14 +696,14 @@ class TestCompiledWalk:
 
     def test_plan_sizes_are_pinned(self, monkeypatch):
         # the plans of two swap walks and two ordinary ones under weights of
-        # 1/3: walk, peak states, width, then the lengths of the index runs,
-        # of the step records and of the final labels
+        # 1/3: walk, peak states, width, then the entries the plan starts
+        # and adds, and the number of final labels
         k4 = Graph(4, ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)))
         cases = [
-            (cycle(6), None, "swap", 24_501, 12, 81_199, 120, 48_284),
-            (cycle(4), (0, 2, 4, 6), "swap", 57, 6, 463, 80, 15),
-            (cycle(6), (0, 9), "ordinary", 84, 6, 760, 126, 2),
-            (k4, (0, 1, 4, 5), "ordinary", 432, 7, 3_861, 112, 15),
+            (cycle(6), None, "swap", 24_501, 12, 51_653, 14_773, 48_284),
+            (cycle(4), (0, 2, 4, 6), "swap", 57, 6, 139, 162, 15),
+            (cycle(6), (0, 9), "ordinary", 84, 6, 330, 215, 2),
+            (k4, (0, 1, 4, 5), "ordinary", 432, 7, 1_619, 1_121, 15),
         ]
         compile_, plans = percolation._compile, []
 
@@ -658,11 +717,27 @@ class TestCompiledWalk:
             plans.clear()
             connectivity_distribution(Weight.uniform(bunkbed(base).total, F(1, 3)), terminals=terminals)
             (plan,) = plans
+            started, added = plan_entries(plan)
             got = [
-                "swap" if plan.expand else "ordinary", plan.states, plan.width,
-                len(plan.indices), len(plan.steps), len(plan.labels),
+                "ordinary" if plan.expand is None else "swap", plan.states, plan.width,
+                started, added, len(plan.labels),
             ]
             assert got == want
+
+
+def plan_entries(plan) -> tuple[int, int]:
+    """The entries a compiled plan starts and the entries it adds, read
+    from its step records, each checked to pair its sources and targets."""
+    started = added = 0
+    runs = iter(plan.steps)
+    for head in runs:
+        factors = 6 if head & 1 else 3
+        started += sum(len(next(runs)) for _ in range(factors))
+        for _ in range(factors):
+            src, dst = next(runs), next(runs)
+            assert len(src) == len(dst)
+            added += len(src)
+    return started, added
 
 
 def nonzero(dist) -> dict:
