@@ -267,25 +267,6 @@ def two_connected(g: Graph) -> bool:
     return g.vertex_count >= 3 and g.is_connected() and not cut_vertices(g)
 
 
-def connected_in_subset(g: Graph, edge_subset, x: int, y: int) -> bool:
-    """True iff x and y are joined by a path using only the given edge indices."""
-    if x == y:
-        return True
-    allowed = set(edge_subset)
-    seen = [False] * g.vertex_count
-    seen[x] = True
-    stack = [x]
-    while stack:
-        u = stack.pop()
-        for w, ei in g.adjacency[u]:
-            if ei in allowed and not seen[w]:
-                if w == y:
-                    return True
-                seen[w] = True
-                stack.append(w)
-    return False
-
-
 @dataclass(frozen=True)
 class SplitAtCutVertex:
     """A graph cut open at a cut vertex v into two sides sharing only v.

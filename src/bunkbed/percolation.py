@@ -216,15 +216,6 @@ class ProbabilityReport:
         _unit_fractions((self.value,), "probability")
 
 
-def atom_probability(w: Weight, edge_subset) -> Fraction:
-    """Probability of the single atom K = edge_subset."""
-    k = set(edge_subset)
-    p = ONE
-    for i, v in enumerate(w.values):
-        p *= v if i in k else ONE - v
-    return p
-
-
 # ---------------------------------------------------------------------------
 # Enumeration core
 # ---------------------------------------------------------------------------
@@ -805,7 +796,7 @@ def event_probability(
     spec.validate(w.graph)
     edges = _enumerated_edges(w.graph, spec.restriction, cap)
     terminals = tuple(sorted({x for pair in spec.positive + spec.negative for x in pair}))
-    value = _distributions(w.graph, [w], edges, terminals)[0].probability(spec)
+    value = _distributions(w.graph, [w], edges, terminals)[0]._measure(spec)
     return ProbabilityReport(
         value=value,
         method="brute_force",
@@ -851,8 +842,10 @@ class ConnectivityDistribution:
     so every partition has one slot; numerators[i] is the total atom
     numerator landing on that partition, over `denominator`.  Any
     conjunction of connectivity constraints between terminals, measurable
-    over the enumerated edges, can be read off exactly.  width is the most
-    vertices the kernel held live at once, states its peak table size.
+    over the enumerated edges, can be read off exactly.  A spec's
+    restriction cannot: the edges are fixed when the distribution is
+    enumerated, so such a spec is refused.  width is the most vertices the
+    kernel held live at once, states its peak table size.
     """
 
     graph: Graph
@@ -874,7 +867,12 @@ class ConnectivityDistribution:
             raise ValueError(f"vertex {exc.args[0]} is not a terminal of this distribution") from None
 
     def probability(self, spec: ConnectivitySpec) -> Fraction:
+        if spec.restriction is not None:
+            raise ValueError("a distribution cannot apply a spec's restriction; enumerate the mask")
         spec.validate(self.graph)
+        return self._measure(spec)
+
+    def _measure(self, spec: ConnectivitySpec) -> Fraction:
         pos = self._positions(spec.positive)
         neg = self._positions(spec.negative)
         total = 0
@@ -996,21 +994,26 @@ def _parse_weight_lines(text: str):
     return default, edge_lines, post_lines
 
 
+def _fill(keys, lines: dict, default, what: str, unknown: str) -> list:
+    """The value of each key from its line, else the default; a key with
+    neither, or a line left over for no key, is an error."""
+    values = []
+    for k in keys:
+        value = lines.pop(k, default)
+        if value is None:
+            raise WeightParseError(f"no weight for {what} {k} and no default")
+        values.append(value)
+    if lines:
+        raise WeightParseError(f"{unknown}: {sorted(lines)}")
+    return values
+
+
 def parse_weight_file(text: str, graph: Graph) -> Weight:
     """Parse a plain weight file for `graph` (w lines keyed by endpoints)."""
     default, edge_lines, post_lines = _parse_weight_lines(text)
     if post_lines:
         raise WeightParseError("post lines are only valid for symmetric bunkbed weights")
-    values = []
-    for e in graph.edges:
-        if e in edge_lines:
-            values.append(edge_lines.pop(e))
-        elif default is not None:
-            values.append(default)
-        else:
-            raise WeightParseError(f"no weight for edge {e} and no default")
-    if edge_lines:
-        raise WeightParseError(f"weights given for unknown edges: {sorted(edge_lines)}")
+    values = _fill(graph.edges, edge_lines, default, "edge", "weights given for unknown edges")
     try:
         return Weight(graph, tuple(values))
     except ValueError as exc:
@@ -1021,26 +1024,12 @@ def parse_symmetric_weight_file(text: str, bb: BunkbedGraph) -> SymmetricWeight:
     """Parse a symmetric weight file: w lines keyed by base edge endpoints,
     post lines keyed by base vertex."""
     default, edge_lines, post_lines = _parse_weight_lines(text)
-    base_values = []
-    for e in bb.base.edges:
-        if e in edge_lines:
-            base_values.append(edge_lines.pop(e))
-        elif default is not None:
-            base_values.append(default)
-        else:
-            raise WeightParseError(f"no weight for base edge {e} and no default")
-    if edge_lines:
-        raise WeightParseError(f"weights given for unknown base edges: {sorted(edge_lines)}")
-    post_values = []
-    for x in range(bb.base.vertex_count):
-        if x in post_lines:
-            post_values.append(post_lines.pop(x))
-        elif default is not None:
-            post_values.append(default)
-        else:
-            raise WeightParseError(f"no weight for post {x} and no default")
-    if post_lines:
-        raise WeightParseError(f"posts given for unknown vertices: {sorted(post_lines)}")
+    base_values = _fill(
+        bb.base.edges, edge_lines, default, "base edge", "weights given for unknown base edges"
+    )
+    post_values = _fill(
+        range(bb.base.vertex_count), post_lines, default, "post", "posts given for unknown vertices"
+    )
     try:
         return SymmetricWeight(bb, tuple(base_values), tuple(post_values))
     except ValueError as exc:

@@ -41,58 +41,12 @@ from .percolation import (
 )
 
 
-@dataclass(frozen=True)
-class BunkbedSplit:
-    """Bunkbeds of the two sides of a split, with their edge and vertex
-    images inside the bunkbed of the whole graph.
-
-    h0 is the H-side bunkbed minus the shared post edge at the cut vertex,
-    so the G and H0 edge images partition the whole bunkbed's edges.
-    """
-
-    split: SplitAtCutVertex
-    f: BunkbedGraph
-    g: BunkbedGraph
-    h: BunkbedGraph
-    h0: Graph
-    g_edge_to_whole: tuple[int, ...]
-    h_edge_to_whole: tuple[int, ...]
-    h0_edge_to_h: tuple[int, ...]
-
-    def g_vertex_to_whole(self, gv: int) -> int:
-        ng = self.g.base.vertex_count
-        return self.split.g_vertices[gv % ng] + (gv // ng) * self.f.base.vertex_count
-
-    def h_vertex_to_whole(self, hv: int) -> int:
-        nh = self.h.base.vertex_count
-        return self.split.h_vertices[hv % nh] + (hv // nh) * self.f.base.vertex_count
-
-
 def _edge_images(base: Graph, vertex_emb, edge_emb) -> list[int]:
     """The total edges of bunkbed(base) that a side's bunkbed total edges
     are, in the side's order, for a side embedded in base by vertex_emb
     and edge_emb; both bunkbeds follow the fixed layout."""
     posts = 2 * base.edge_count
     return [t for e in edge_emb for t in (2 * e, 2 * e + 1)] + [posts + x for x in vertex_emb]
-
-
-def bunkbed_split(split: SplitAtCutVertex) -> BunkbedSplit:
-    """Lift a base-graph split to the bunkbed level."""
-    h = bunkbed(split.side_h)
-    shared_post = h.post_edge(split.cut_in_h)
-    h0_edge_to_h = tuple(i for i in range(h.total.edge_count) if i != shared_post)
-    return BunkbedSplit(
-        split=split,
-        f=bunkbed(split.whole),
-        g=bunkbed(split.side_g),
-        h=h,
-        h0=Graph(
-            h.total.vertex_count, tuple(h.total.edges[i] for i in h0_edge_to_h), h.total.labels
-        ),
-        g_edge_to_whole=tuple(_edge_images(split.whole, split.g_vertices, split.g_edges)),
-        h_edge_to_whole=tuple(_edge_images(split.whole, split.h_vertices, split.h_edges)),
-        h0_edge_to_h=h0_edge_to_h,
-    )
 
 
 @dataclass(frozen=True)

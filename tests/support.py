@@ -22,7 +22,7 @@ from bunkbed.percolation import (
     Weight,
     connectivity_distributions,
 )
-from bunkbed.reduction import bunkbed_split, collapse_side, two_point_probability
+from bunkbed.reduction import collapse_side, two_point_probability, zero_post_weight
 
 CAP = 30
 
@@ -79,11 +79,30 @@ def random_symmetric_weights(bb, count: int, seed: int) -> list[SymmetricWeight]
     ]
 
 
+def side_weight(f_bb, mu: Weight, side_bb, vertices, edges) -> Weight:
+    """mu read on the bunkbed of a split's side, the side's base vertices
+    and edges being `vertices` and `edges` of f_bb's base."""
+    values = [None] * side_bb.total.edge_count
+    for j, e in enumerate(edges):
+        values[side_bb.minus_edge(j)] = mu.values[f_bb.minus_edge(e)]
+        values[side_bb.plus_edge(j)] = mu.values[f_bb.plus_edge(e)]
+    for x, v in enumerate(vertices):
+        values[side_bb.post_edge(x)] = mu.values[f_bb.post_edge(v)]
+    return Weight(side_bb.total, tuple(values))
+
+
+def lift_vertex(vertices, n: int, side_vertex: int) -> int:
+    """The whole bunkbed's vertex, over n base vertices, that a side's
+    bunkbed vertex is, the side's base vertices being `vertices`."""
+    return vertices[side_vertex % len(vertices)] + (side_vertex // len(vertices)) * n
+
+
 def run_identity_checks(entry: tuple[int, tuple], index: int, n_weights: int = 20) -> dict:
     """Verify, on one catalog graph, both reduction identities against
     exhaustive enumeration: the collapse transform for every split and
     every kept-side pair, and the three-term cross formula for every split
-    and every straddling pair.  Returns counters and failure descriptions.
+    and every straddling pair, with H0 side H under its cut vertex's post
+    closed.  Returns counters and failure descriptions.
     """
     n, edges = entry
     base = Graph(n, edges)
@@ -96,20 +115,21 @@ def run_identity_checks(entry: tuple[int, tuple], index: int, n_weights: int = 2
     failures: list[str] = []
 
     for split in all_splits(base):
-        bs = bunkbed_split(split)
+        g_bb = bunkbed(split.side_g)
+        h_bb = bunkbed(split.side_h)
 
         # collapse route: P in the whole bunkbed == P in the reduced one
         collapsed = [collapse_side(f_bb, w, split, cap=CAP) for w in weights]
         h_table = DistTable(
             connectivity_distributions(
-                bs.h.total, [c.reduced_weight for c in collapsed], cap=CAP
+                h_bb.total, [c.reduced_weight for c in collapsed], cap=CAP
             )
         )
-        nh2 = bs.h.total.vertex_count
+        nh2 = h_bb.total.vertex_count
         for hx in range(nh2):
             for hy in range(hx, nh2):
                 lhs = f_table.probabilities(
-                    [(bs.h_vertex_to_whole(hx), bs.h_vertex_to_whole(hy))]
+                    [(lift_vertex(split.h_vertices, n, hx), lift_vertex(split.h_vertices, n, hy))]
                 )
                 rhs = h_table.probabilities([(hx, hy)])
                 collapse_checks += len(weights)
@@ -120,31 +140,16 @@ def run_identity_checks(entry: tuple[int, tuple], index: int, n_weights: int = 2
 
         # cross route: three-term identity for pairs straddling the cut
         g_weights = [
-            Weight(
-                bs.g.total,
-                tuple(
-                    w.values[bs.g_edge_to_whole[j]]
-                    for j in range(bs.g.total.edge_count)
-                ),
+            side_weight(f_bb, w, g_bb, split.g_vertices, split.g_edges) for w in weights
+        ]
+        h0_weights = [
+            zero_post_weight(
+                h_bb, side_weight(f_bb, w, h_bb, split.h_vertices, split.h_edges), split.cut_in_h
             )
             for w in weights
         ]
-        h_weights = [
-            Weight(
-                bs.h.total,
-                tuple(
-                    w.values[bs.h_edge_to_whole[j]]
-                    for j in range(bs.h.total.edge_count)
-                ),
-            )
-            for w in weights
-        ]
-        g_table = DistTable(connectivity_distributions(bs.g.total, g_weights, cap=CAP))
-        post = bs.h.post_edge(split.cut_in_h)
-        h0_mask = frozenset(range(bs.h.total.edge_count)) - {post}
-        h0_table = DistTable(
-            connectivity_distributions(bs.h.total, h_weights, restriction=h0_mask, cap=CAP)
-        )
+        g_table = DistTable(connectivity_distributions(g_bb.total, g_weights, cap=CAP))
+        h0_table = DistTable(connectivity_distributions(h_bb.total, h0_weights, cap=CAP))
         ng = split.side_g.vertex_count
         nh = split.side_h.vertex_count
         vg_minus, vg_plus = split.cut_in_g, split.cut_in_g + ng
@@ -167,10 +172,10 @@ def run_identity_checks(entry: tuple[int, tuple], index: int, n_weights: int = 2
         }
         for gx in range(2 * ng):
             gm, gp, gb = g_terms[gx]
-            fx = bs.g_vertex_to_whole(gx)
+            fx = lift_vertex(split.g_vertices, n, gx)
             for hy in range(2 * nh):
                 hm, hp, hb = h_terms[hy]
-                fy = bs.h_vertex_to_whole(hy)
+                fy = lift_vertex(split.h_vertices, n, hy)
                 lhs = f_table.probabilities([(fx, fy)])
                 cross_checks += len(weights)
                 for wi in range(len(weights)):

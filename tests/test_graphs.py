@@ -9,7 +9,6 @@ from bunkbed.graphs import (
     NotACutVertexError,
     all_splits,
     bunkbed,
-    connected_in_subset,
     cut_vertices,
     format_graph,
     glue,
@@ -18,7 +17,7 @@ from bunkbed.graphs import (
     two_connected,
 )
 
-from oracles import bfs_reachable, canonical_edge_set, naive_cut_vertices
+from oracles import canonical_edge_set, naive_cut_vertices
 
 P3 = Graph(3, ((0, 1), (1, 2)))
 C4 = Graph(4, ((0, 1), (1, 2), (2, 3), (0, 3)))
@@ -153,29 +152,6 @@ class TestTwoConnected:
         assert not two_connected(Graph(2, ((0, 1),)))
         assert not two_connected(Graph(1, ()))
         assert not two_connected(Graph(4, ((0, 1), (2, 3))))
-
-
-class TestConnectedInSubset:
-    def test_empty_subset(self):
-        assert not connected_in_subset(C4, (), 0, 2)
-
-    def test_reflexive(self):
-        assert connected_in_subset(C4, (), 1, 1)
-
-    def test_path_partial(self):
-        assert connected_in_subset(P3, {0}, 0, 1)
-        assert not connected_in_subset(P3, {0}, 0, 2)
-
-    def test_matches_bfs_random(self):
-        rng = random.Random(11)
-        for _ in range(200):
-            g = random_graph(rng, rng.randint(2, 7))
-            k = [e for e in range(g.edge_count) if rng.random() < 0.5]
-            x = rng.randrange(g.vertex_count)
-            y = rng.randrange(g.vertex_count)
-            open_edges = [g.edges[e] for e in k]
-            expected = y in bfs_reachable(g.vertex_count, open_edges, [x])
-            assert connected_in_subset(g, k, x, y) == expected
 
 
 class TestSplitAt:

@@ -8,14 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bunkbed import percolation
-from bunkbed.graphs import Graph, bunkbed, connected_in_subset
+from bunkbed.graphs import Graph, bunkbed
 from bunkbed.percolation import (
     ConnectivitySpec,
     EnumerationCapError,
     SymmetricWeight,
     Weight,
     WeightParseError,
-    atom_probability,
     connection_probability,
     connectivity_distribution,
     connectivity_distributions,
@@ -29,6 +28,7 @@ from bunkbed.percolation import (
 
 from oracles import (
     BunkbedGridOracle,
+    bfs_reachable,
     frontier_counts,
     naive_event_probability,
     naive_terminal_distribution,
@@ -79,21 +79,6 @@ class TestWeightTypes:
             ConnectivitySpec(positive=((0, 9),)).validate(P3)
         with pytest.raises(ValueError):
             ConnectivitySpec(positive=((0, 1),), restriction=frozenset({7})).validate(P3)
-
-
-class TestAtomProbability:
-    def test_single_edge(self):
-        w = Weight(K2, (F(1, 3),))
-        assert atom_probability(w, {0}) == F(1, 3)
-        assert atom_probability(w, set()) == F(2, 3)
-
-    def test_two_edges_half(self):
-        w = Weight.uniform(P3, F(1, 2))
-        assert atom_probability(w, {0}) == F(1, 4)
-
-    def test_deterministic_edge_forces_zero(self):
-        w = Weight(P3, (F(1), F(1, 2)))
-        assert atom_probability(w, {1}) == 0
 
 
 class TestEventProbability:
@@ -167,7 +152,6 @@ class TestEventProbability:
         g = Graph(0, ())
         w = Weight(g, ())
         assert sum_over_all_atoms(w) == 1
-        assert atom_probability(w, set()) == 1
 
     def test_cap(self):
         g = Graph(8, tuple((i, j) for i in range(8) for j in range(i + 1, 8)))
@@ -321,10 +305,11 @@ class TestKernelAgainstOracle:
                 if any(x != y for x, y in neg):
                     seen.add("negative pair")
                 spec = ConnectivitySpec(positive=pos, negative=neg, restriction=mask)
+                # the distributions enumerate the mask; they read the spec without it
                 dists = connectivity_distributions(g, batch, restriction=mask)
                 for w, dist in zip(batch, dists):
                     want = naive_event_probability(w, pos, neg, restriction=mask)
-                    assert dist.probability(spec) == want
+                    assert dist.probability(ConnectivitySpec(pos, neg)) == want
                     assert event_probability(w, spec).value == want
                     if mask is None and m:
                         seen.add("below 2^62" if dist.denominator < 1 << 62 else "at least 2^62")
@@ -816,7 +801,7 @@ class TestTerminalDistributions:
             assert event_probability(w, spec).value == want
             terminals = {x for pair in pos + neg for x in pair}
             dist = connectivity_distribution(w, restriction=mask, terminals=terminals)
-            assert dist.probability(spec) == want
+            assert dist.probability(ConnectivitySpec(pos, neg)) == want
             checked += 1
 
     @settings(max_examples=60, deadline=None)
@@ -1011,11 +996,11 @@ class TestMeasureProperties:
         for _ in range(40):
             g = random_graph(rng, rng.randint(2, 6))
             w = Weight(g, tuple(F(rng.randint(0, 1)) for _ in range(g.edge_count)))
-            open_set = [e for e in range(g.edge_count) if w.values[e] == 1]
+            open_edges = [g.edges[e] for e in range(g.edge_count) if w.values[e] == 1]
             x, y = rng.randrange(g.vertex_count), rng.randrange(g.vertex_count)
             value = event_probability(w, ConnectivitySpec.connected(x, y)).value
             assert value in (0, 1)
-            assert (value == 1) == connected_in_subset(g, open_set, x, y)
+            assert (value == 1) == (y in bfs_reachable(g.vertex_count, open_edges, [x]))
 
     def test_layer_swap_symmetry(self):
         rng = random.Random(61)
@@ -1078,6 +1063,16 @@ class TestConnectivityDistribution:
                 spec = ConnectivitySpec(positive=((x, y),), restriction=mask)
                 assert dist.connection(x, y) == event_probability(w, spec).value
 
+    def test_a_spec_with_a_restriction_is_refused(self):
+        # the mask leaves out P3's edge (0, 1), so 0 and 1 never connect;
+        # a distribution over both edges would read the spec as 1/2
+        w = Weight(P3, (F(1, 2), F(1, 3)))
+        spec = ConnectivitySpec(positive=((0, 1),), restriction=frozenset({1}))
+        assert event_probability(w, spec).value == 0
+        assert connectivity_distribution(w, restriction=spec.restriction).connection(0, 1) == 0
+        with pytest.raises(ValueError, match="restriction"):
+            connectivity_distribution(w).probability(spec)
+
 
 class TestWeightFiles:
     def test_plain_round_trip(self):
@@ -1117,3 +1112,23 @@ class TestWeightFiles:
             parse_weight_file("default 1/2\nw 0 1 x\n", P3)
         with pytest.raises(WeightParseError):
             parse_weight_file("w 0 1 1/2\nw 1 0 1/2\ndefault 0\n", P3)  # duplicate
+
+    @pytest.mark.parametrize(
+        "symmetric, text, message",
+        [
+            (False, "w 0 1 1/2\n", "no weight for edge (1, 2) and no default"),
+            (False, "default 1/2\nw 0 2 1/2\n", "weights given for unknown edges: [(0, 2)]"),
+            (True, "w 0 1 1/2\npost 0 1\npost 1 1\npost 2 1\n",
+             "no weight for base edge (1, 2) and no default"),
+            (True, "default 1/2\nw 2 0 1/2\n", "weights given for unknown base edges: [(0, 2)]"),
+            (True, "w 0 1 1/2\nw 1 2 1/2\npost 0 1\npost 2 1\n", "no weight for post 1 and no default"),
+            (True, "default 1/2\npost 5 1/2\npost 3 0\n", "posts given for unknown vertices: [3, 5]"),
+        ],
+    )
+    def test_a_missing_or_unknown_key_is_named(self, symmetric, text, message):
+        with pytest.raises(WeightParseError) as info:
+            if symmetric:
+                parse_symmetric_weight_file(text, bunkbed(P3))
+            else:
+                parse_weight_file(text, P3)
+        assert str(info.value) == message

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from bunkbed import reduction
-from bunkbed.graphs import Graph, all_splits, bunkbed, cut_vertices, split_at
+from bunkbed.graphs import Graph, all_splits, bunkbed, cut_vertices, glue, split_at
 from bunkbed.percolation import (
     ConnectivitySpec,
     EnumerationCapError,
@@ -15,12 +15,13 @@ from bunkbed.percolation import (
     event_probability,
 )
 from bunkbed.reduction import (
-    bunkbed_split,
     collapse_side,
     layer_probabilities,
     two_point_probability,
     zero_post_weight,
 )
+
+from support import lift_vertex, side_weight
 
 F = Fraction
 
@@ -44,37 +45,6 @@ def random_bb_weight(rng, bb, denominator=8):
         bb.total,
         tuple(F(rng.randint(0, denominator), denominator) for _ in range(bb.total.edge_count)),
     )
-
-
-class TestBunkbedSplit:
-    def test_path_sides_are_four_cycles(self):
-        s = split_at(P3, 1, [0])
-        bs = bunkbed_split(s)
-        assert (bs.g.total.vertex_count, bs.g.total.edge_count) == (4, 4)
-        assert (bs.h.total.vertex_count, bs.h.total.edge_count) == (4, 4)
-        assert bs.h0.edge_count == 3
-        # the cut vertex post is in both sides' bunkbeds but only counted in g
-        shared = bs.f.post_edge(1)
-        assert shared in bs.g_edge_to_whole
-        h0_whole = {bs.h_edge_to_whole[e] for e in bs.h0_edge_to_h}
-        assert shared not in h0_whole
-
-    def test_bowtie(self):
-        s = split_at(BOWTIE, 2, [0])
-        bs = bunkbed_split(s)
-        assert bs.g.total.edge_count == 2 * 3 + 3
-        assert bs.h.total.edge_count == 2 * 3 + 3
-        assert bs.h0.edge_count == 2 * 3 + 3 - 1
-
-    def test_edge_partition_counts(self):
-        rng = random.Random(3)
-        for _ in range(20):
-            g = random_connected_with_cut(rng)
-            for s in all_splits(g):
-                bs = bunkbed_split(s)
-                assert bs.f.total.edge_count == bs.h0.edge_count + bs.g.total.edge_count
-                h0_images = {bs.h_edge_to_whole[e] for e in bs.h0_edge_to_h}
-                assert h0_images.isdisjoint(bs.g_edge_to_whole)
 
 
 class TestCollapseSide:
@@ -218,42 +188,36 @@ class TestZeroPostWeight:
 class TestCrossSideProbability:
     """The three-term identity for a pair straddling a cut vertex v:
     P(x ~ y) = P_G(x ~ v-) P_H0(v- ~ y) + P_G(x ~ v+) P_H0(v+ ~ y)
-    - P_G(x ~ v-, x ~ v+) P_H0(v- ~ y, v+ ~ y), with H0 side H minus the
-    shared post."""
+    - P_G(x ~ v-, x ~ v+) P_H0(v- ~ y, v+ ~ y), with H0 side H under the
+    shared post closed (zero_post_weight)."""
 
     def test_path_identity_against_full_enumeration(self):
         f = bunkbed(P3)
         mu = Weight.uniform(f.total, F(1, 2))
         s = split_at(P3, 1, [0])
-        bs = bunkbed_split(s)
-        g_vals = tuple(mu.values[bs.g_edge_to_whole[j]] for j in range(bs.g.total.edge_count))
-        h_vals = tuple(mu.values[bs.h_edge_to_whole[j]] for j in range(bs.h.total.edge_count))
-        gw = Weight(bs.g.total, g_vals)
-        hw = Weight(bs.h.total, h_vals)
+        g_bb, h_bb = bunkbed(s.side_g), bunkbed(s.side_h)
+        gw = side_weight(f, mu, g_bb, s.g_vertices, s.g_edges)
+        h0w = zero_post_weight(
+            h_bb, side_weight(f, mu, h_bb, s.h_vertices, s.h_edges), s.cut_in_h
+        )
         ng, nh = 2, 2
-        a_g = bs.g.vertex_map[s.g_vertex_index[0]][0]  # a-
-        b_h = bs.h.vertex_map[s.h_vertex_index[2]][0]  # b-
+        a_g = g_bb.minus_vertex(s.g_vertex_index[0])  # a-
+        b_h = h_bb.minus_vertex(s.h_vertex_index[2])  # b-
         vg_m, vg_p = s.cut_in_g, s.cut_in_g + ng
         vh_m, vh_p = s.cut_in_h, s.cut_in_h + nh
-        post = bs.h.post_edge(s.cut_in_h)
-        mask = frozenset(range(bs.h.total.edge_count)) - {post}
         g_minus = connection_probability(gw, a_g, vg_m)
         g_plus = connection_probability(gw, a_g, vg_p)
         g_both = event_probability(
             gw, ConnectivitySpec(positive=((a_g, vg_m), (a_g, vg_p)))
         ).value
-        h0_minus = event_probability(
-            hw, ConnectivitySpec(positive=((vh_m, b_h),), restriction=mask)
-        ).value
-        h0_plus = event_probability(
-            hw, ConnectivitySpec(positive=((vh_p, b_h),), restriction=mask)
-        ).value
+        h0_minus = connection_probability(h0w, vh_m, b_h)
+        h0_plus = connection_probability(h0w, vh_p, b_h)
         h0_both = event_probability(
-            hw, ConnectivitySpec(positive=((vh_m, b_h), (vh_p, b_h)), restriction=mask)
+            h0w, ConnectivitySpec(positive=((vh_m, b_h), (vh_p, b_h)))
         ).value
         # against exhaustive enumeration over all 2^7 subsets of the whole bunkbed
         whole = connection_probability(mu, 0, 2)
-        assert bs.f.total.edge_count == 7
+        assert f.total.edge_count == 7
         assert g_minus * h0_minus + g_plus * h0_plus - g_both * h0_both == whole
 
     def test_identity_random_straddling_pairs(self):
@@ -264,15 +228,15 @@ class TestCrossSideProbability:
             mu = random_bb_weight(rng, f)
             dist = connectivity_distribution(mu)
             for s in all_splits(g):
-                bs = bunkbed_split(s)
-                g_vals = tuple(mu.values[bs.g_edge_to_whole[j]] for j in range(bs.g.total.edge_count))
-                h_vals = tuple(mu.values[bs.h_edge_to_whole[j]] for j in range(bs.h.total.edge_count))
-                gw = Weight(bs.g.total, g_vals)
-                hw = Weight(bs.h.total, h_vals)
-                g_dist = connectivity_distribution(gw)
-                post = bs.h.post_edge(s.cut_in_h)
-                mask = frozenset(range(bs.h.total.edge_count)) - {post}
-                h0_dist = connectivity_distribution(hw, restriction=mask)
+                g_bb, h_bb = bunkbed(s.side_g), bunkbed(s.side_h)
+                g_dist = connectivity_distribution(
+                    side_weight(f, mu, g_bb, s.g_vertices, s.g_edges)
+                )
+                h0_dist = connectivity_distribution(
+                    zero_post_weight(
+                        h_bb, side_weight(f, mu, h_bb, s.h_vertices, s.h_edges), s.cut_in_h
+                    )
+                )
                 ng = s.side_g.vertex_count
                 nh = s.side_h.vertex_count
                 vg = (s.cut_in_g, s.cut_in_g + ng)
@@ -283,15 +247,15 @@ class TestCrossSideProbability:
                             ConnectivitySpec(positive=((gx, vg[0]), (gx, vg[1])))
                         )
                         h0_both = h0_dist.probability(
-                            ConnectivitySpec(positive=((vh[0], hy), (vh[1], hy)), restriction=mask)
+                            ConnectivitySpec(positive=((vh[0], hy), (vh[1], hy)))
                         )
                         cross = (
                             g_dist.connection(gx, vg[0]) * h0_dist.connection(vh[0], hy)
                             + g_dist.connection(gx, vg[1]) * h0_dist.connection(vh[1], hy)
                             - g_both * h0_both
                         )
-                        fx = bs.g_vertex_to_whole(gx)
-                        fy = bs.h_vertex_to_whole(hy)
+                        fx = lift_vertex(s.g_vertices, g.vertex_count, gx)
+                        fy = lift_vertex(s.h_vertices, g.vertex_count, hy)
                         assert cross == dist.connection(fx, fy)
 
 
@@ -395,6 +359,16 @@ class TestTwoPointProbability:
         sw = SymmetricWeight.uniform(bunkbed(cycle8), F(1, 2))
         with pytest.raises(EnumerationCapError, match="block on base vertices"):
             two_point_probability(cycle8, sw, 0, 4, cap=10)
+
+    @pytest.mark.parametrize("solve", [two_point_probability, layer_probabilities])
+    def test_cap_error_after_a_split_names_the_block_in_the_query_graphs_vertices(self, solve):
+        # P3 glued at its end 2 to an 8-cycle on 2-9: the engine splits at
+        # 2, and the refused leaf, the cycle, is vertices 0-7 of its piece
+        cycle8 = Graph(8, tuple((i, (i + 1) % 8) for i in range(8)))
+        base, _ = glue(P3, 2, cycle8, 0)
+        sw = SymmetricWeight.uniform(bunkbed(base), F(1, 2))
+        with pytest.raises(EnumerationCapError, match=r"base vertices \[2, 3, 4, 5, 6, 7, 8, 9\]\)"):
+            solve(base, sw, 0, 5, cap=10)
 
     def test_rejects_mismatched_weight(self):
         sw = SymmetricWeight.uniform(bunkbed(P3), F(1, 2))
